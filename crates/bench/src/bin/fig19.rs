@@ -28,7 +28,7 @@ fn main() {
     let step = horizon.div_ceil(buckets).max(1);
     for t0 in (0..horizon).step_by(step) {
         let t1 = (t0 + step).min(horizon);
-        let max = (t0..t1).map(|t| contention.at(t as u32)).max().unwrap_or(0);
+        let max = contention.max_over(t0 as u32, t1 as u32);
         let pct = max as f64 / problem.capacity() as f64 * 100.0;
         let bar = "#".repeat((pct / 2.5) as usize);
         table.row([t0.to_string(), max.to_string(), format!("{pct:.0}%"), bar]);

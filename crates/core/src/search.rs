@@ -435,12 +435,7 @@ impl<'a> Engine<'a> {
         let buffer_contention = problem
             .buffers()
             .iter()
-            .map(|b| {
-                (b.start()..b.end())
-                    .map(|t| contention.at(t))
-                    .max()
-                    .unwrap_or(0)
-            })
+            .map(|b| contention.max_over(b.start(), b.end()))
             .collect();
         let seed = config.perturbation_seed;
         let selection_ranks: Vec<Option<Vec<u32>>> = config

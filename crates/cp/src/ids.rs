@@ -93,7 +93,8 @@ impl std::fmt::Display for PairId {
 
 /// Checked access into the flat arena arrays.
 ///
-/// Every per-buffer/per-pair/per-word array in this crate is a `Vec`
+/// Every per-buffer/per-pair/per-word array in this crate (and the
+/// shared overlap graph's CSR arrays the model reads) is a flat slice
 /// sized against the same problem (or bit capacity) at construction, and
 /// every index flowing into it comes from that problem's ids, the
 /// model's CSR rows, or the trail — all bounded by construction. This
@@ -107,7 +108,8 @@ pub(crate) trait Arena<T> {
     fn at_mut(&mut self, i: usize) -> &mut T;
 }
 
-impl<T> Arena<T> for Vec<T> {
+// tela-lint: allow(no-solve-path-panic, reason = "not indexing: `[T]` is the slice type this impl is for")
+impl<T> Arena<T> for [T] {
     #[inline(always)]
     fn at(&self, i: usize) -> &T {
         // tela-lint: allow(no-solve-path-panic, reason = "arena arrays are sized to the problem at construction and indices come from the same problem's ids/CSR rows, all in bounds")

@@ -1,6 +1,6 @@
-use tela_model::{BufferId, Problem};
+use tela_model::{BufferId, OverlapGraph, Problem};
 
-use crate::ids::{Arena, PairId, VarId};
+use crate::ids::{Arena, PairId};
 
 /// The static constraint model of an allocation problem: the
 /// `OverlappingBuffers` pair set and, per buffer, the pairs it
@@ -12,14 +12,17 @@ use crate::ids::{Arena, PairId, VarId};
 ///
 /// # Layout
 ///
-/// The adjacency relation is stored in compressed-sparse-row form: one
-/// offsets array (`adj_off`, length `n + 1`) and two parallel flat
-/// payload arrays indexed by the same position — the pair index
-/// (`adj_pair`) and the *other* endpoint of that pair (`adj_other`),
-/// precomputed so the propagation loop never re-derives it with a
-/// branch. Per-buffer rows are ordered by ascending pair index, which
-/// makes iteration order (and therefore propagation order) identical to
-/// the historical `Vec<Vec<PairId>>` layout.
+/// The adjacency relation is the problem's shared
+/// [`OverlapGraph`](tela_model::OverlapGraph): a compressed-sparse-row
+/// offsets array plus one flat array of neighbour ids, each row
+/// ascending. The graph's flat neighbour array doubles as the *other
+/// endpoint* of each adjacency slot, so the propagation loop never
+/// re-derives it with a branch; a parallel flat array (`adj_pair`) holds
+/// each slot's pair index. Pairs are numbered lexicographically — pair
+/// `(x, y)` for each `y > x` in row `x` — so ascending neighbour order is
+/// ascending pair-index order, and iteration (and therefore
+/// propagation) order is identical to the historical `Vec<Vec<PairId>>`
+/// layout.
 ///
 /// # Example
 ///
@@ -37,19 +40,15 @@ pub struct CpModel {
     /// `(x, y)` buffer index pairs with `x < y`, time-overlapping,
     /// sorted ascending.
     pairs: Vec<(u32, u32)>,
-    /// CSR offsets: buffer `v`'s adjacency row is
-    /// `adj_pair[adj_off[v]..adj_off[v + 1]]`.
-    adj_off: Vec<u32>,
-    /// Flat pair indices, rows ordered by ascending pair index.
+    /// CSR adjacency: buffer `v`'s row is `graph.row(v)`, and each flat
+    /// slot holds the other endpoint of that slot's pair.
+    graph: OverlapGraph,
+    /// Parallel to the graph's flat adjacency: each slot's pair index.
     adj_pair: Vec<PairId>,
-    /// Parallel to `adj_pair`: the other endpoint of each pair.
-    adj_other: Vec<u32>,
     /// Per pair: its two flat adjacency slots — `[slot in x's row,
     /// slot in y's row]`. Lets the solver maintain per-slot order
     /// state without searching the rows.
     pair_slots: Vec<[u32; 2]>,
-    /// Largest adjacency row length (used to preallocate sweep scratch).
-    max_degree: u32,
 }
 
 /// Errors detected while building a [`CpModel`].
@@ -115,55 +114,38 @@ impl CpModel {
             // is always aligned, so with the capacity check in
             // `Problem::new` every buffer has at least address 0.
         }
-        let mut pairs: Vec<(u32, u32)> = problem
-            .overlapping_pairs()
-            .map(|(a, b)| (a.index() as u32, b.index() as u32))
-            .collect();
-        pairs.sort_unstable();
-
-        // CSR build: count row lengths, prefix-sum into offsets, then
-        // fill each row in ascending pair-index order with a per-row
-        // write cursor.
+        // Number the pairs lexicographically by scanning each row's
+        // upper neighbours. Row `y` receives its lower neighbours `x` in
+        // ascending order — the order they sit in the sorted row — so a
+        // per-row cursor finds each pair's second slot.
+        let graph = OverlapGraph::of(problem);
         let n = problem.len();
-        let mut adj_off = vec![0u32; n + 1];
-        for &(x, y) in &pairs {
-            *adj_off.at_mut(x as usize + 1) += 1;
-            *adj_off.at_mut(y as usize + 1) += 1;
-        }
-        let mut max_degree = 0u32;
-        let mut running = 0u32;
-        for v in 0..n {
-            let degree = *adj_off.at(v + 1);
-            max_degree = max_degree.max(degree);
-            running += degree;
-            *adj_off.at_mut(v + 1) = running;
-        }
-        let total = adj_off.last().copied().unwrap_or(0) as usize;
-        let mut adj_pair = vec![PairId::new(0); total];
-        let mut adj_other = vec![0u32; total];
-        let mut cursor: Vec<u32> = adj_off.iter().take(n).copied().collect();
-        let mut pair_slots = Vec::with_capacity(pairs.len());
-        for (i, &(x, y)) in pairs.iter().enumerate() {
-            let p = PairId::new(i as u32);
-            let cx = *cursor.at(x as usize) as usize;
-            *adj_pair.at_mut(cx) = p;
-            *adj_other.at_mut(cx) = y;
-            *cursor.at_mut(x as usize) += 1;
-            let cy = *cursor.at(y as usize) as usize;
-            *adj_pair.at_mut(cy) = p;
-            *adj_other.at_mut(cy) = x;
-            *cursor.at_mut(y as usize) += 1;
-            pair_slots.push([cx as u32, cy as u32]);
+        let mut adj_pair = vec![PairId::new(0); graph.adjacency().len()];
+        let mut pairs = Vec::with_capacity(graph.edge_count());
+        let mut pair_slots = Vec::with_capacity(graph.edge_count());
+        let mut cursor: Vec<u32> = (0..n).map(|v| graph.row(v).start as u32).collect();
+        for x in 0..n {
+            for cx in graph.row(x) {
+                let y = *graph.adjacency().at(cx);
+                if y as usize <= x {
+                    continue;
+                }
+                let p = PairId::new(pairs.len() as u32);
+                pairs.push((x as u32, y));
+                let cy = *cursor.at(y as usize) as usize;
+                *cursor.at_mut(y as usize) += 1;
+                *adj_pair.at_mut(cx) = p;
+                *adj_pair.at_mut(cy) = p;
+                pair_slots.push([cx as u32, cy as u32]);
+            }
         }
 
         Ok(CpModel {
             problem: problem.clone(),
             pairs,
-            adj_off,
+            graph,
             adj_pair,
-            adj_other,
             pair_slots,
-            max_degree,
         })
     }
 
@@ -188,7 +170,7 @@ impl CpModel {
     /// CSR arrays.
     #[inline(always)]
     pub(crate) fn row(&self, var: u32) -> std::ops::Range<usize> {
-        *self.adj_off.at(var as usize) as usize..*self.adj_off.at(var as usize + 1) as usize
+        self.graph.row(var as usize)
     }
 
     /// The pair index stored at flat adjacency position `at`.
@@ -200,7 +182,7 @@ impl CpModel {
     /// The other endpoint stored at flat adjacency position `at`.
     #[inline(always)]
     pub(crate) fn row_other(&self, at: usize) -> u32 {
-        *self.adj_other.at(at)
+        *self.graph.adjacency().at(at)
     }
 
     /// The two flat adjacency slots of `pair`: `[x's row, y's row]`.
@@ -211,7 +193,7 @@ impl CpModel {
 
     /// Total number of flat adjacency slots (twice the pair count).
     pub(crate) fn adj_len(&self) -> usize {
-        self.adj_other.len()
+        self.graph.adjacency().len()
     }
 
     /// Pairs involving buffer index `var`, ascending by pair index.
@@ -222,15 +204,13 @@ impl CpModel {
 
     /// Largest number of pairs any single buffer participates in.
     pub(crate) fn max_degree(&self) -> usize {
-        self.max_degree as usize
+        self.graph.max_degree()
     }
 
     /// Buffer ids overlapping `id` in time.
     pub fn neighbors(&self, id: BufferId) -> impl Iterator<Item = BufferId> + '_ {
-        let var = VarId::from(id);
-        self.adj_other
-            .get(self.row(var.raw()))
-            .unwrap_or(&[])
+        self.graph
+            .neighbors(id)
             .iter()
             .map(|&o| BufferId::new(o as usize))
     }

@@ -40,11 +40,9 @@ pub fn measure(p: &Problem, n: usize, tracer: Option<Tracer>) -> (u64, u64, u64)
     (allocs, solver.propagations(), pops_lower_bound)
 }
 
-/// Minimum measurement over a few repetitions: the counting allocator is
-/// process-global, so the libtest harness thread occasionally leaks a
-/// stray allocation or two into the window. The solver's own count is
-/// deterministic and the noise is purely additive, so the minimum is
-/// exact.
+/// Minimum measurement over a few repetitions. The counter is per
+/// thread and the solver's count is deterministic, so the repetitions
+/// agree; the minimum only picks one.
 pub fn min_measure(p: &Problem, n: usize, tracer: fn() -> Option<Tracer>) -> (u64, u64, u64) {
     (0..5)
         .map(|_| measure(p, n, tracer()))

@@ -9,6 +9,8 @@
 //! no backtracking: once a block lands, it stays, which is why the
 //! heuristic is fast but cannot solve the most complex cases.
 
+use std::cmp::Reverse;
+
 use tela_model::{BufferId, Problem};
 
 use crate::placer::place_in_order;
@@ -76,28 +78,22 @@ pub fn solve_traced(problem: &Problem, tracer: &tela_trace::Tracer) -> Heuristic
 /// buffer id for determinism.
 pub fn placement_order(problem: &Problem) -> Vec<BufferId> {
     let contention = problem.contention();
-    let buffer_contention: Vec<u64> = problem
-        .buffers()
+    // Every key ends in the unique buffer id, so the unstable sort yields
+    // the one total order a stable sort would.
+    let mut keyed: Vec<_> = problem
         .iter()
-        .map(|b| {
-            (b.start()..b.end())
-                .map(|t| contention.at(t))
-                .max()
-                .unwrap_or(0)
+        .map(|(id, b)| {
+            (
+                Reverse(contention.max_over(b.start(), b.end())),
+                Reverse(b.align()),
+                Reverse(u128::from(b.size()) * u128::from(b.lifetime()).pow(2)),
+                Reverse(b.lifetime()),
+                id,
+            )
         })
         .collect();
-    let mut order: Vec<BufferId> = problem.iter().map(|(id, _)| id).collect();
-    order.sort_by_key(|&id| {
-        let b = problem.buffer(id);
-        (
-            std::cmp::Reverse(buffer_contention[id.index()]),
-            std::cmp::Reverse(b.align()),
-            std::cmp::Reverse(u128::from(b.size()) * u128::from(b.lifetime()).pow(2)),
-            std::cmp::Reverse(b.lifetime()),
-            id.index(),
-        )
-    });
-    order
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(.., id)| id).collect()
 }
 
 #[cfg(test)]

@@ -5,11 +5,18 @@
 //! (gap-aware, alignment-aware). This module centralizes that machinery
 //! so each baseline only supplies a *placement order*.
 
-use tela_model::{Address, BufferId, Problem, Solution};
+use std::cell::Cell;
+
+use tela_model::{Address, Buffer, BufferId, OverlapGraph, Problem, Solution};
 
 use crate::HeuristicResult;
 
 /// Incremental lowest-fit placement state over one problem.
+///
+/// Built on the problem's [`OverlapGraph`]: fitting a block reads only
+/// its placed neighbours' address spans, gathered into a scratch buffer
+/// that [`Placer::new`] sizes to the graph's maximum degree. Placement
+/// therefore makes no heap allocation after construction.
 ///
 /// # Example
 ///
@@ -23,29 +30,30 @@ use crate::HeuristicResult;
 /// assert_eq!(placer.place(BufferId::new(1)), Some(8)); // overlaps buffer 0
 /// assert_eq!(placer.peak(), 16);
 /// ```
-#[derive(Debug)]
 pub struct Placer<'p> {
     problem: &'p Problem,
-    neighbors: Vec<Vec<u32>>,
-    addresses: Vec<Address>,
-    placed: Vec<bool>,
+    graph: OverlapGraph,
+    /// `[address, address + size)` per buffer. Sizes are nonzero, so the
+    /// empty span `(0, 0)` marks an unplaced buffer.
+    spans: Vec<(Address, Address)>,
     peak: Address,
+    /// Reused by every fit: the placed neighbours' spans, sorted.
+    scratch: Cell<Vec<(Address, Address)>>,
 }
+
+const UNPLACED: (Address, Address) = (0, 0);
 
 impl<'p> Placer<'p> {
     /// Creates an empty placement state for `problem`.
     pub fn new(problem: &'p Problem) -> Self {
-        let mut neighbors = vec![Vec::new(); problem.len()];
-        for (a, b) in problem.overlapping_pairs() {
-            neighbors[a.index()].push(b.index() as u32);
-            neighbors[b.index()].push(a.index() as u32);
-        }
+        let graph = OverlapGraph::of(problem);
+        let scratch = Cell::new(Vec::with_capacity(graph.max_degree()));
         Placer {
             problem,
-            neighbors,
-            addresses: vec![0; problem.len()],
-            placed: vec![false; problem.len()],
+            graph,
+            spans: vec![UNPLACED; problem.len()],
             peak: 0,
+            scratch,
         }
     }
 
@@ -53,31 +61,21 @@ impl<'p> Placer<'p> {
     /// overlapping blocks, without committing it. `None` means the sweep
     /// overflowed the address space — the block cannot be placed at all
     /// (only reachable with near-`u64::MAX` sizes or alignments).
+    // tela-lint: hot-path
     pub fn lowest_fit(&self, id: BufferId) -> Option<Address> {
-        let b = self.problem.buffer(id);
-        let mut occupied: Vec<(Address, Address)> = self.neighbors[id.index()]
-            .iter()
-            .filter(|&&n| self.placed[n as usize])
-            .map(|&n| {
-                let nb = &self.problem.buffers()[n as usize];
-                (
-                    self.addresses[n as usize],
-                    self.addresses[n as usize].saturating_add(nb.size()),
-                )
-            })
-            .collect();
-        occupied.sort_unstable();
-        let mut addr: Address = 0;
-        for &(s, e) in &occupied {
-            if s >= addr.checked_add(b.size())? {
-                break;
-            }
-            if e > addr {
-                addr = b.align_up(e)?;
+        let b = self.problem.buffers().get(id.index())?;
+        let mut occupied = self.scratch.take();
+        occupied.clear();
+        for &n in self.graph.neighbors(id) {
+            match self.spans.get(n as usize) {
+                Some(&span) if span != UNPLACED => occupied.push(span),
+                _ => {}
             }
         }
-        addr.checked_add(b.size())?;
-        Some(addr)
+        occupied.sort_unstable();
+        let fit = lowest_gap(&occupied, b);
+        self.scratch.set(occupied);
+        fit
     }
 
     /// Places `id` at its lowest fit and returns the address, or `None`
@@ -86,18 +84,23 @@ impl<'p> Placer<'p> {
     /// # Panics
     ///
     /// Panics if `id` is already placed.
+    // tela-lint: hot-path
     pub fn place(&mut self, id: BufferId) -> Option<Address> {
-        assert!(!self.placed[id.index()], "buffer {id} is already placed");
+        assert!(!self.is_placed(id), "buffer {id} is already placed");
         let addr = self.lowest_fit(id)?;
-        self.addresses[id.index()] = addr;
-        self.placed[id.index()] = true;
-        self.peak = self.peak.max(addr + self.problem.buffer(id).size());
+        let size = self.problem.buffers().get(id.index())?.size();
+        // `lowest_fit` checked that `addr + size` does not overflow.
+        let top = addr + size;
+        *self.spans.get_mut(id.index())? = (addr, top);
+        self.peak = self.peak.max(top);
         Some(addr)
     }
 
     /// Returns true if `id` has been placed.
     pub fn is_placed(&self, id: BufferId) -> bool {
-        self.placed[id.index()]
+        self.spans
+            .get(id.index())
+            .is_some_and(|&span| span != UNPLACED)
     }
 
     /// Highest address used so far.
@@ -111,8 +114,8 @@ impl<'p> Placer<'p> {
     ///
     /// Panics if some block is unplaced.
     pub fn finish(self) -> HeuristicResult {
-        assert!(self.placed.iter().all(|&p| p), "all blocks must be placed");
-        let solution = Solution::new(self.addresses);
+        assert!(!self.spans.contains(&UNPLACED), "all blocks must be placed");
+        let solution = Solution::new(self.spans.iter().map(|&(addr, _)| addr).collect());
         debug_assert!(
             self.problem
                 .with_capacity(u64::MAX)
@@ -124,6 +127,34 @@ impl<'p> Placer<'p> {
             peak: self.peak,
         }
     }
+}
+
+impl std::fmt::Debug for Placer<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Placer")
+            .field("buffers", &self.spans.len())
+            .field("spans", &self.spans)
+            .field("peak", &self.peak)
+            .finish_non_exhaustive()
+    }
+}
+
+/// The lowest aligned address at which `b` avoids every span of the
+/// sorted `occupied`, or `None` when the sweep overflows the address
+/// space.
+// tela-lint: hot-path
+fn lowest_gap(occupied: &[(Address, Address)], b: &Buffer) -> Option<Address> {
+    let mut addr: Address = 0;
+    for &(s, e) in occupied {
+        if s >= addr.checked_add(b.size())? {
+            break;
+        }
+        if e > addr {
+            addr = b.align_up(e)?;
+        }
+    }
+    addr.checked_add(b.size())?;
+    Some(addr)
 }
 
 /// Runs lowest-fit placement in the given order. An address-space

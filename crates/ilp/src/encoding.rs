@@ -16,7 +16,7 @@
 //! A_j q_j - A_i q_i - M B_p <= -size_j        (B=0 -> j below i)
 //! ```
 
-use tela_model::{Address, BufferId, Problem, Solution};
+use tela_model::{Address, BufferId, OverlapGraph, Problem, Solution};
 
 /// A linear row `sum(coeff * var) <= rhs` over integer variables.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,11 +54,7 @@ impl IlpEncoding {
     pub fn new(problem: &Problem) -> Self {
         let n = problem.len();
         let m = problem.capacity() as i64;
-        let mut pairs: Vec<(u32, u32)> = problem
-            .overlapping_pairs()
-            .map(|(a, b)| (a.index() as u32, b.index() as u32))
-            .collect();
-        pairs.sort_unstable();
+        let pairs: Vec<(u32, u32)> = OverlapGraph::of(problem).pairs().collect();
 
         let mut bounds = Vec::with_capacity(n + pairs.len());
         for b in problem.buffers() {

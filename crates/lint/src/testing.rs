@@ -20,15 +20,26 @@
 //! assert!(allocs >= 1);
 //! ```
 //!
-//! The counter is process-global and other threads (the libtest
-//! harness) occasionally allocate inside the measurement window, so the
-//! noise is purely additive; take the minimum over a few repetitions
-//! (see [`min_allocations`]) for an exact figure.
+//! The counter is per thread: a measurement window sees only the
+//! allocations of the thread that opened it, so sibling tests running
+//! in parallel (and the libtest harness) can never leak into it, and
+//! one measurement of a deterministic workload is exact.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` initialization with a `Drop`-free type: no lazy
+    // registration, so touching it from inside the allocator cannot
+    // recurse into the allocator.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn record_allocation() {
+    // Fails only while the thread's locals are being torn down, when
+    // nothing is measuring.
+    let _ = ALLOCS.try_with(|count| count.set(count.get() + 1));
+}
 
 /// A [`System`]-backed allocator that counts every `alloc`/`realloc`.
 /// Deallocations are not counted: the guarded property is "no new heap
@@ -50,7 +61,7 @@ impl Default for CountingAlloc {
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        record_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -59,35 +70,22 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        record_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
-/// Global allocation count so far. Only meaningful in a binary whose
-/// `#[global_allocator]` is a [`CountingAlloc`]; otherwise stays zero.
+/// The calling thread's allocation count so far. Only meaningful in a
+/// binary whose `#[global_allocator]` is a [`CountingAlloc`]; otherwise
+/// stays zero.
 pub fn allocation_count() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.try_with(Cell::get).unwrap_or(0)
 }
 
-/// Runs `f` and returns `(allocations during f, f's result)`.
+/// Runs `f` and returns `(allocations the calling thread made during f,
+/// f's result)`.
 pub fn count_allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = allocation_count();
     let result = f();
     (allocation_count() - before, result)
-}
-
-/// Runs `f` `repetitions` times and returns its minimum allocation
-/// count (with the last run's result). The minimum is exact for a
-/// deterministic workload: harness-thread noise in the window is purely
-/// additive.
-pub fn min_allocations<R>(repetitions: usize, mut f: impl FnMut() -> R) -> (u64, R) {
-    assert!(repetitions > 0, "need at least one repetition");
-    let (mut best, mut result) = count_allocations(&mut f);
-    for _ in 1..repetitions {
-        let (allocs, r) = count_allocations(&mut f);
-        best = best.min(allocs);
-        result = r;
-    }
-    (best, result)
 }

@@ -62,6 +62,18 @@ impl ContentionProfile {
         self.per_step.iter().copied().max().unwrap_or(0)
     }
 
+    /// Maximum contention over the steps `start..end` (steps past the
+    /// horizon count as 0). Over a buffer's live range this is the
+    /// buffer's own *contention* (paper §3.1), the greedy heuristic's
+    /// primary ordering key.
+    pub fn max_over(&self, start: TimeStep, end: TimeStep) -> Size {
+        let end = (end as usize).min(self.per_step.len());
+        self.per_step
+            .get((start as usize).min(end)..end)
+            .and_then(|steps| steps.iter().copied().max())
+            .unwrap_or(0)
+    }
+
     /// Number of time steps covered (the problem horizon).
     pub fn len(&self) -> usize {
         self.per_step.len()
@@ -243,6 +255,31 @@ mod tests {
         assert_eq!(c.as_slice(), &[10, 10, 30, 35, 20, 20]);
         assert_eq!(c.max(), 35);
         assert_eq!(c.len(), 6);
+    }
+
+    #[test]
+    fn max_over_is_max_of_per_step_values() {
+        // The `Problem::buffer_contention_is_max_over_live_slots` case.
+        let p = Problem::builder(100)
+            .buffer(Buffer::new(0, 6, 10))
+            .buffer(Buffer::new(0, 2, 20))
+            .buffer(Buffer::new(4, 6, 50))
+            .build()
+            .unwrap();
+        let c = p.contention();
+        assert_eq!(c.max_over(0, 6), 60);
+        assert_eq!(c.max_over(0, 2), 30);
+        assert_eq!(c.max_over(4, 6), 60);
+        assert_eq!(c.max_over(2, 4), 10);
+        for (id, b) in p.iter() {
+            let by_step = (b.start()..b.end()).map(|t| c.at(t)).max().unwrap_or(0);
+            assert_eq!(c.max_over(b.start(), b.end()), by_step, "{id}");
+        }
+        // Empty ranges read 0, and steps past the horizon count as 0.
+        assert_eq!(c.max_over(3, 3), 0);
+        assert_eq!(c.max_over(5, 99), 60);
+        assert_eq!(c.max_over(7, 99), 0);
+        assert_eq!(c.max_over(4, 2), 0);
     }
 
     #[test]

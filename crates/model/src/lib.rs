@@ -4,8 +4,8 @@
 //! workspace: [`Buffer`]s with fixed live ranges, [`Problem`]s pairing a
 //! buffer set with a memory capacity, [`Solution`]s mapping buffers to
 //! addresses, and the analysis passes that the TelaMalloc search builds on
-//! (contention profiles, phase partitioning, independent sub-problem
-//! splitting).
+//! (contention profiles, the shared time-overlap graph, phase
+//! partitioning, independent sub-problem splitting).
 //!
 //! The memory allocation problem (paper §3): given buffers
 //! `B ∈ ℕ³ (start, end, size)` and a memory limit `M`, produce a mapping
@@ -36,6 +36,7 @@ pub mod examples;
 #[cfg(feature = "fault-inject")]
 pub mod fault;
 mod fingerprint;
+mod overlap;
 mod partial;
 mod problem;
 mod solution;
@@ -49,6 +50,7 @@ pub use contention::{ContentionProfile, Phase, PhasePartition};
 #[cfg(feature = "fault-inject")]
 pub use fault::{FaultInjector, FaultPlan, ServerFaultPlan};
 pub use fingerprint::{fingerprint, CanonicalBuffer, CanonicalForm, Fingerprint};
+pub use overlap::OverlapGraph;
 pub use partial::{BestEffort, PartialError, PartialSolution, ResilienceStage};
 pub use problem::{Problem, ProblemBuilder, ProblemError};
 pub use solution::{Solution, ValidationError};

@@ -229,13 +229,12 @@ impl Problem {
 
     /// The contention of a single buffer: the maximum contention of any
     /// time slot for which the buffer is live (paper §3.1).
+    ///
+    /// This builds the whole profile; to key many buffers, build it once
+    /// and call [`ContentionProfile::max_over`] per buffer.
     pub fn buffer_contention(&self, id: BufferId) -> Size {
-        let profile = self.contention();
         let b = self.buffer(id);
-        (b.start()..b.end())
-            .map(|t| profile.at(t))
-            .max()
-            .unwrap_or(0)
+        self.contention().max_over(b.start(), b.end())
     }
 }
 

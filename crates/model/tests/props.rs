@@ -2,7 +2,8 @@
 
 use proptest::prelude::*;
 use tela_model::{
-    parse_problem, problem_to_text, split_independent, Buffer, PhasePartition, Problem,
+    parse_problem, problem_to_text, split_independent, Buffer, OverlapGraph, PhasePartition,
+    Problem,
 };
 
 fn buffer_strategy() -> impl Strategy<Value = Buffer> {
@@ -66,6 +67,36 @@ proptest! {
             }
         }
         prop_assert_eq!(sweep, reference);
+    }
+
+    #[test]
+    fn overlap_graph_rows_match_quadratic_reference(problem in problem_strategy()) {
+        let graph = OverlapGraph::of(&problem);
+        prop_assert_eq!(graph.len(), problem.len());
+        for (id, b) in problem.iter() {
+            let reference: Vec<u32> = problem
+                .iter()
+                .filter(|&(other, ob)| other != id && b.overlaps_in_time(ob))
+                .map(|(other, _)| other.index() as u32)
+                .collect();
+            prop_assert_eq!(graph.neighbors(id), reference.as_slice(), "row of {}", id);
+        }
+        let mut sweep: Vec<(u32, u32)> = problem
+            .overlapping_pairs()
+            .map(|(a, b)| (a.index() as u32, b.index() as u32))
+            .collect();
+        sweep.sort_unstable();
+        prop_assert_eq!(graph.pairs().collect::<Vec<_>>(), sweep);
+    }
+
+    #[test]
+    fn buffer_contention_is_max_over_live_range(problem in problem_strategy()) {
+        let profile = problem.contention();
+        for (id, b) in problem.iter() {
+            let by_step = (b.start()..b.end()).map(|t| profile.at(t)).max().unwrap_or(0);
+            prop_assert_eq!(profile.max_over(b.start(), b.end()), by_step);
+            prop_assert_eq!(problem.buffer_contention(id), by_step);
+        }
     }
 
     #[test]
