@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use tela_bench::outcome_tag;
 use tela_model::{parse_problem, problem_to_text, Budget, InstanceStats, PackingStats, Problem};
 use tela_workloads::{problem_with_slack, ModelKind};
-use telamalloc::{Allocator, Stage, TelaConfig};
+use telamalloc::{EscalationLadder, TelaConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -123,15 +123,11 @@ fn cmd_solve(args: &[String]) -> CliResult {
     let t0 = Instant::now();
     let (tag, solution, detail) = match alloc.as_str() {
         "pipeline" => {
-            let r = Allocator::default().allocate(&problem, &budget);
-            let stage = match r.stage {
-                Stage::Heuristic => "heuristic",
-                Stage::TelaMalloc => "telamalloc",
-            };
+            let r = EscalationLadder::default().solve(&problem, &budget);
             (
                 outcome_tag(&r.outcome),
                 r.outcome.into_solution(),
-                format!("stage={stage} steps={}", r.stats.steps),
+                format!("stage={} steps={}", r.stage, r.stats.steps),
             )
         }
         "tela" => {

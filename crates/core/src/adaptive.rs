@@ -13,7 +13,8 @@
 //!    predicted top-k variants enter the race first.
 //! 2. **Bandit rounds.** The budget is sliced into geometrically
 //!    growing step quotas. Each round runs the selected arms from
-//!    scratch under the round quota; between rounds a UCB score over
+//!    scratch under the round quota, through the same round executor
+//!    as the blind race; between rounds a UCB score over
 //!    *observed progress* (committed-prefix depth, with steps,
 //!    propagations and backtracks on the round report) reallocates the
 //!    k slots — promising arms deepen, clear losers restart with a
@@ -30,19 +31,13 @@
 //! never enters this module and behaves bit-for-bit like the blind
 //! race — the trace-determinism and chaos suites hold unchanged.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use tela_heuristics::perturb;
-use tela_model::{Budget, BufferId, InstanceStats, Problem, SolveOutcome, SolveStats};
+use tela_model::{Budget, InstanceStats, Problem, SolveOutcome};
 
-use crate::backtrack::PlacedDecision;
 use crate::config::TelaConfig;
-use crate::portfolio::{
-    begin_variant, end_variant, finish_race, is_decisive, lock_resilient, note_partial, note_win,
-    run_variant_isolated, variant_budget, PortfolioResult, PortfolioVariant, VariantOutcome,
-    VariantReport,
-};
+use crate::portfolio::{is_decisive, run_round, PortfolioResult, PortfolioVariant, Race, Slot};
 
 /// Scores portfolio variants for one instance; higher means "predicted
 /// to settle the race sooner". Implementations must be deterministic —
@@ -75,14 +70,16 @@ pub struct AdaptiveConfig {
     pub quota_growth: u64,
     /// Hard cap on the number of rounds.
     pub max_rounds: u32,
-    /// UCB exploration coefficient: weight of the `sqrt(ln N / n)`
-    /// bonus against observed depth in arm selection.
-    pub exploration: f64,
-    /// Base seed for restart perturbation (`tela_heuristics::perturb`).
-    /// Every arm's first run is always unperturbed (seed 0), so the
-    /// canonical variant behavior is tried before any jittered restart.
-    pub seed: u64,
 }
+
+/// UCB exploration coefficient: weight of the `sqrt(ln N / n)` bonus
+/// against observed depth in arm selection.
+const EXPLORATION: f64 = 0.5;
+
+/// Base seed for restart perturbation (`tela_heuristics::perturb`).
+/// Every arm's first run is always unperturbed (seed 0), so the
+/// canonical variant behavior is tried before any jittered restart.
+const PERTURBATION_BASE: u64 = 0x7E1A;
 
 impl Default for AdaptiveConfig {
     fn default() -> Self {
@@ -92,8 +89,6 @@ impl Default for AdaptiveConfig {
             initial_quota: 4096,
             quota_growth: 8,
             max_rounds: 8,
-            exploration: 0.5,
-            seed: 0x7E1A,
         }
     }
 }
@@ -166,16 +161,6 @@ struct Arm {
     exhausted: bool,
 }
 
-/// One arm's raw result within a round.
-struct RoundRun {
-    slot: usize,
-    variant: usize,
-    quota: u64,
-    perturbation: u64,
-    outcome: Result<crate::search::TelaResult, String>,
-    thread: u32,
-}
-
 /// The per-round quota: `initial · growth^round`, saturating, capped by
 /// the outer per-arm step budget.
 // tela-lint: hot-path
@@ -200,13 +185,13 @@ pub(crate) fn planned_quota(round: u32, initial: u64, growth: u64, cap: Option<u
 /// fraction of the problem) — or the ranker prior for a never-run arm —
 /// plus the exploration bonus.
 // tela-lint: hot-path
-fn ucb_score(arm: &Arm, prior: f64, problem_len: usize, total_runs: u32, exploration: f64) -> f64 {
+fn ucb_score(arm: &Arm, prior: f64, problem_len: usize, total_runs: u32) -> f64 {
     let value = if arm.runs == 0 {
         prior
     } else {
         arm.best_depth as f64 / problem_len.max(1) as f64
     };
-    let bonus = exploration * (f64::from(1 + total_runs).ln() / f64::from(1 + arm.runs)).sqrt();
+    let bonus = EXPLORATION * (f64::from(1 + total_runs).ln() / f64::from(1 + arm.runs)).sqrt();
     value + bonus
 }
 
@@ -220,7 +205,6 @@ fn select_arms(
     priors: &[f64],
     problem_len: usize,
     total_runs: u32,
-    exploration: f64,
     k: usize,
 ) {
     out.clear();
@@ -230,7 +214,7 @@ fn select_arms(
             if arm.exhausted || out.contains(&i) {
                 continue;
             }
-            let score = ucb_score(arm, priors[i], problem_len, total_runs, exploration);
+            let score = ucb_score(arm, priors[i], problem_len, total_runs);
             let better = match best {
                 None => true,
                 Some((bi, bs)) => {
@@ -265,11 +249,11 @@ fn normalize_priors(raw: &[f64]) -> Vec<f64> {
 /// The perturbation seed of run number `restarts` of variant `variant`:
 /// 0 (canonical ordering) for the first run, a nonzero splitmix-derived
 /// seed afterwards.
-fn perturbation_seed(base: u64, variant: usize, restarts: u64) -> u64 {
+fn perturbation_seed(variant: usize, restarts: u64) -> u64 {
     if restarts == 0 {
         return 0;
     }
-    let mixed = perturb::splitmix64(base ^ ((variant as u64) << 32) ^ restarts);
+    let mixed = perturb::splitmix64(PERTURBATION_BASE ^ ((variant as u64) << 32) ^ restarts);
     mixed.max(1)
 }
 
@@ -305,18 +289,9 @@ pub(crate) fn race_adaptive(
     let per_arm_cap = budget.max_steps();
 
     let mut arms = vec![Arm::default(); n];
-    let mut reports: Vec<Option<VariantReport>> = vec![None; n];
-    let mut best_partial: Option<(Vec<PlacedDecision>, Vec<BufferId>)> = None;
+    let mut race = Race::new(n);
     let mut selected: Vec<usize> = Vec::with_capacity(k);
-    select_arms(
-        &mut selected,
-        &arms,
-        &priors,
-        problem.len(),
-        0,
-        adaptive.exploration,
-        k,
-    );
+    select_arms(&mut selected, &arms, &priors, problem.len(), 0, k);
     let mut report = AdaptiveReport {
         scores,
         seeded: selected.clone(),
@@ -336,10 +311,9 @@ pub(crate) fn race_adaptive(
         );
     }
 
-    let mut winner: Option<(usize, u32, crate::search::TelaResult)> = None;
     let mut total_runs = 0u32;
     let mut round = 0u32;
-    while winner.is_none() && round < adaptive.max_rounds && !selected.is_empty() {
+    while !race.decided() && round < adaptive.max_rounds && !selected.is_empty() {
         if budget.cancelled() || budget.deadline_passed() {
             break;
         }
@@ -349,93 +323,82 @@ pub(crate) fn race_adaptive(
             adaptive.quota_growth,
             per_arm_cap,
         );
+        let slots: Vec<Slot> = selected
+            .iter()
+            .map(|&variant| {
+                let arm = &arms[variant];
+                Slot {
+                    variant,
+                    // An arm never runs past its share of the budget.
+                    quota: Some(
+                        per_arm_cap.map_or(quota, |cap| quota.min(cap.saturating_sub(arm.spent))),
+                    ),
+                    perturbation: perturbation_seed(variant, arm.restarts),
+                }
+            })
+            .collect();
         let propagations_before = tracer.counter_value("cp.propagations").unwrap_or(0);
-        let runs = if threads <= 1 || selected.len() <= 1 {
-            run_round_sequential(problem, budget, variants, config, &selected, &arms, quota)
-        } else {
-            run_round_parallel(
-                problem, budget, variants, config, &selected, &arms, quota, threads,
-            )
-        };
+        let runs = run_round(problem, budget, variants, config, &slots, threads);
 
         let mut round_report = RoundReport {
             round,
             quota,
             runs: Vec::with_capacity(runs.len()),
         };
-        // Process in selection order: at `threads == 1` this makes the
-        // whole round report (and the winner) deterministic.
+        // Runs arrive in selection order: at `threads == 1` this makes
+        // the whole round report (and the winner) deterministic.
         for run in runs {
-            let arm = &mut arms[run.variant];
+            let arm = &mut arms[run.slot.variant];
             arm.runs += 1;
             total_runs += 1;
-            match run.outcome {
+            let mut run_report = RunReport {
+                variant: run.slot.variant,
+                quota: run.slot.quota.unwrap_or(quota),
+                perturbation: run.slot.perturbation,
+                steps: 0,
+                propagations: 0,
+                depth: 0,
+                outcome: "panicked",
+            };
+            match &run.outcome {
                 Ok(result) => {
                     let depth = if result.outcome.is_solved() {
                         problem.len()
                     } else {
                         result.partial.len()
                     };
-                    let decisive = is_decisive(&result.outcome);
                     arm.spent += result.stats.steps;
                     if let Some(cap) = per_arm_cap {
                         arm.exhausted |= arm.spent >= cap;
                     }
-                    round_report.runs.push(RunReport {
-                        variant: run.variant,
-                        quota: run.quota,
-                        perturbation: run.perturbation,
-                        steps: result.stats.steps,
-                        propagations: result.stats.propagations,
-                        depth,
-                        outcome: result.outcome.label(),
-                    });
-                    note_partial(&mut best_partial, &result);
-                    reports[run.variant] = Some(VariantReport {
-                        name: variants[run.variant].name.clone(),
-                        outcome: VariantOutcome::Finished(result.outcome.clone()),
-                        stats: result.stats,
-                    });
-                    if decisive {
-                        if winner.is_none() {
-                            winner = Some((run.variant, run.thread, result));
-                        }
-                        continue;
-                    }
+                    run_report.steps = result.stats.steps;
+                    run_report.propagations = result.stats.propagations;
+                    run_report.depth = depth;
+                    run_report.outcome = result.outcome.label();
                     // Restart policy: an arm that exhausted its search
                     // space (gave up) or made no depth progress on its
                     // own (not merely cancelled by a round winner) is a
                     // clear loser — its next run gets a perturbed
-                    // ordering.
-                    let lost_on_its_own = !result.stats.cancelled;
-                    let stalled = depth <= arm.best_depth && arm.runs > 1;
-                    if lost_on_its_own
-                        && (matches!(result.outcome, SolveOutcome::GaveUp) || stalled)
-                    {
-                        arm.restarts += 1;
-                        report.restarts += 1;
+                    // ordering. Decisive runs end the race instead.
+                    if !is_decisive(&result.outcome) {
+                        let lost_on_its_own = !result.stats.cancelled;
+                        let stalled = depth <= arm.best_depth && arm.runs > 1;
+                        if lost_on_its_own
+                            && (matches!(result.outcome, SolveOutcome::GaveUp) || stalled)
+                        {
+                            arm.restarts += 1;
+                            report.restarts += 1;
+                        }
+                        arm.best_depth = arm.best_depth.max(depth);
                     }
-                    arm.best_depth = arm.best_depth.max(depth);
                 }
-                Err(message) => {
-                    round_report.runs.push(RunReport {
-                        variant: run.variant,
-                        quota: run.quota,
-                        perturbation: run.perturbation,
-                        steps: 0,
-                        propagations: 0,
-                        depth: 0,
-                        outcome: "panicked",
-                    });
-                    reports[run.variant] = Some(VariantReport {
-                        name: variants[run.variant].name.clone(),
-                        outcome: VariantOutcome::Panicked { message },
-                        stats: SolveStats::default(),
-                    });
+                Err(_) => {
                     arm.restarts += 1;
                     report.restarts += 1;
                 }
             }
+            round_report.runs.push(run_report);
+            race.record(run, variants);
         }
         if tracer.enabled() {
             let propagations = tracer
@@ -456,165 +419,16 @@ pub(crate) fn race_adaptive(
         }
         report.rounds.push(round_report);
         round += 1;
-        if winner.is_none() {
-            select_arms(
-                &mut selected,
-                &arms,
-                &priors,
-                problem.len(),
-                total_runs,
-                adaptive.exploration,
-                k,
-            );
+        if !race.decided() {
+            select_arms(&mut selected, &arms, &priors, problem.len(), total_runs, k);
         }
     }
     if tracer.enabled() {
         tracer.count("portfolio.adaptive.restarts", report.restarts);
-        if let Some((index, _, _)) = &winner {
-            note_win(&mut tracer.buffer(), *index, &variants[*index]);
-        }
     }
-    let mut race = finish_race(winner, variants, reports, best_partial);
-    race.adaptive = Some(report);
-    race
-}
-
-/// Builds the budget and perturbed variant for one arm run.
-fn arm_run_setup(
-    budget: &Budget,
-    variants: &[PortfolioVariant],
-    config: &TelaConfig,
-    arm: &Arm,
-    variant: usize,
-    quota: u64,
-) -> (Budget, PortfolioVariant, u64, u64) {
-    let per_arm_cap = budget.max_steps();
-    let arm_quota = match per_arm_cap {
-        Some(cap) => quota.min(cap.saturating_sub(arm.spent)),
-        None => quota,
-    };
-    let pseed = perturbation_seed(config.adaptive.seed, variant, arm.restarts);
-    let mut v = variants[variant].clone();
-    v.config.perturbation_seed = pseed;
-    let worker_budget = variant_budget(budget, config, variant).with_max_steps(arm_quota);
-    (worker_budget, v, arm_quota, pseed)
-}
-
-/// One round at `threads == 1` (or a single selected arm): arms run in
-/// selection order; the first decisive arm ends the round, later arms
-/// never start — exactly mirroring the blind sequential race's
-/// determinism.
-fn run_round_sequential(
-    problem: &Problem,
-    budget: &Budget,
-    variants: &[PortfolioVariant],
-    config: &TelaConfig,
-    selected: &[usize],
-    arms: &[Arm],
-    quota: u64,
-) -> Vec<RoundRun> {
-    let mut buf = config.tracer.buffer();
-    let mut out = Vec::with_capacity(selected.len());
-    for (slot, &variant) in selected.iter().enumerate() {
-        let (worker_budget, v, arm_quota, pseed) =
-            arm_run_setup(budget, variants, config, &arms[variant], variant, quota);
-        let span = begin_variant(&mut buf, variant, &v);
-        let outcome = run_variant_isolated(problem, &worker_budget, &v);
-        match &outcome {
-            Ok(result) => end_variant(&mut buf, span, variant, &v, Ok(result), config),
-            Err(message) => end_variant(&mut buf, span, variant, &v, Err(message), config),
-        }
-        let decisive = matches!(&outcome, Ok(r) if is_decisive(&r.outcome));
-        out.push(RoundRun {
-            slot,
-            variant,
-            quota: arm_quota,
-            perturbation: pseed,
-            outcome,
-            thread: 0,
-        });
-        if decisive {
-            break;
-        }
-    }
-    out
-}
-
-/// One round on `threads` workers: arms are pulled from the selection
-/// list by a shared cursor; the first decisive finish cancels the rest
-/// of the round (the cancelled arms still report, with
-/// `stats.cancelled` set). Results are returned in selection order.
-#[allow(clippy::too_many_arguments)]
-fn run_round_parallel(
-    problem: &Problem,
-    budget: &Budget,
-    variants: &[PortfolioVariant],
-    config: &TelaConfig,
-    selected: &[usize],
-    arms: &[Arm],
-    quota: u64,
-    threads: usize,
-) -> Vec<RoundRun> {
-    let cancel = Arc::new(AtomicBool::new(false));
-    let claimed = AtomicBool::new(false);
-    let slots: Vec<Mutex<Option<RoundRun>>> = selected.iter().map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    let workers = threads.min(selected.len());
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            let cancel = &cancel;
-            let claimed = &claimed;
-            let slots = &slots;
-            let cursor = &cursor;
-            let arms = &arms;
-            scope.spawn(move || {
-                let mut buf = config.tracer.buffer();
-                loop {
-                    if cancel.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&variant) = selected.get(slot) else {
-                        break;
-                    };
-                    let (worker_budget, v, arm_quota, pseed) =
-                        arm_run_setup(budget, variants, config, &arms[variant], variant, quota);
-                    let worker_budget = worker_budget.with_cancel(Arc::clone(cancel));
-                    let span = begin_variant(&mut buf, variant, &v);
-                    let outcome = run_variant_isolated(problem, &worker_budget, &v);
-                    match &outcome {
-                        Ok(result) => {
-                            end_variant(&mut buf, span, variant, &v, Ok(result), config);
-                            if is_decisive(&result.outcome) && !claimed.swap(true, Ordering::AcqRel)
-                            {
-                                cancel.store(true, Ordering::Release);
-                            }
-                        }
-                        Err(message) => {
-                            end_variant(&mut buf, span, variant, &v, Err(message), config)
-                        }
-                    }
-                    *lock_resilient(&slots[slot]) = Some(RoundRun {
-                        slot,
-                        variant,
-                        quota: arm_quota,
-                        perturbation: pseed,
-                        outcome,
-                        thread: worker as u32,
-                    });
-                }
-            });
-        }
-    });
-    let mut out: Vec<RoundRun> = slots
-        .into_iter()
-        .filter_map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-        })
-        .collect();
-    out.sort_by_key(|r| r.slot);
-    out
+    let mut result = race.finish(variants, tracer);
+    result.adaptive = Some(report);
+    result
 }
 
 #[cfg(test)]
@@ -641,8 +455,8 @@ mod tests {
             ..Arm::default()
         };
         // Identical priors: the fresh arm's larger bonus wins.
-        let fresh_score = ucb_score(&fresh, 0.8, 100, 4, 0.5);
-        let stale_score = ucb_score(&stale, 0.8, 100, 4, 0.5);
+        let fresh_score = ucb_score(&fresh, 0.8, 100, 4);
+        let stale_score = ucb_score(&stale, 0.8, 100, 4);
         assert!(fresh_score > stale_score);
     }
 
@@ -652,23 +466,20 @@ mod tests {
         arms[2].exhausted = true;
         let priors = vec![0.1, 0.9, 1.0, 0.9, 0.2];
         let mut picked = Vec::new();
-        select_arms(&mut picked, &arms, &priors, 10, 0, 0.5, 3);
+        select_arms(&mut picked, &arms, &priors, 10, 0, 3);
         // Exhausted arm 2 never selected; ties (1 vs 3) break by index.
         assert_eq!(picked, vec![1, 3, 4]);
         let mut again = Vec::new();
-        select_arms(&mut again, &arms, &priors, 10, 0, 0.5, 3);
+        select_arms(&mut again, &arms, &priors, 10, 0, 3);
         assert_eq!(picked, again);
     }
 
     #[test]
     fn first_run_of_every_arm_is_unperturbed() {
         for v in 0..9 {
-            assert_eq!(perturbation_seed(0x7E1A, v, 0), 0);
-            assert_ne!(perturbation_seed(0x7E1A, v, 1), 0);
-            assert_ne!(
-                perturbation_seed(0x7E1A, v, 1),
-                perturbation_seed(0x7E1A, v, 2)
-            );
+            assert_eq!(perturbation_seed(v, 0), 0);
+            assert_ne!(perturbation_seed(v, 1), 0);
+            assert_ne!(perturbation_seed(v, 1), perturbation_seed(v, 2));
         }
     }
 

@@ -67,11 +67,11 @@ pub struct TelaConfig {
     /// backtrack.
     pub minimize_conflicts: bool,
     /// OS threads for the portfolio race
-    /// ([`solve_portfolio`](crate::solve_portfolio)). `1` (the default)
-    /// runs variants sequentially; [`solve`](crate::solve) always runs
-    /// single-variant regardless of this setting, while the
-    /// [`Allocator`](crate::Allocator) front-end races a portfolio
-    /// whenever `threads > 1`.
+    /// ([`solve_portfolio`](crate::solve_portfolio), and so every
+    /// search stage of the [`EscalationLadder`](crate::EscalationLadder)).
+    /// `1` (the default) runs variants sequentially;
+    /// [`solve`](crate::solve) always runs single-variant regardless of
+    /// this setting.
     pub threads: usize,
     /// Portfolio competitors. Empty (the default) means
     /// [`default_variants`](crate::default_variants): this
@@ -79,8 +79,8 @@ pub struct TelaConfig {
     /// with both backtrack policies.
     pub variants: Vec<PortfolioVariant>,
     /// Staged-retry settings for the escalation ladder
-    /// ([`EscalationLadder`](crate::EscalationLadder)): stage budget
-    /// slicing, spill-round cap, and inter-stage backoff.
+    /// ([`EscalationLadder`](crate::EscalationLadder)): the spill-round
+    /// cap, which also decides how the budget is sliced across stages.
     pub ladder: LadderConfig,
     /// Structured-event tracer threaded through every layer of the
     /// solve (search spans, portfolio variant lifecycle, ladder stages,

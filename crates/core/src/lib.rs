@@ -17,17 +17,24 @@
 //!   optionally, a learned model (§5.4, §6; see the `tela-learned`
 //!   crate).
 //!
+//! The production pipeline (§2.3, §5.6) is the [`EscalationLadder`]:
+//! the greedy heuristic first, the TelaMalloc search only when greedy
+//! fails, and spill-and-retry or a validated best-effort placement when
+//! nothing fits.
+//!
 //! # Quick start
 //!
 //! ```
-//! use telamalloc::{Allocator, TelaConfig};
-//! use tela_model::{examples, Budget};
+//! use telamalloc::{EscalationLadder, TelaConfig};
+//! use tela_model::{examples, Budget, ResilienceStage};
 //!
-//! let allocator = Allocator::new(TelaConfig::default());
+//! let ladder = EscalationLadder::new(TelaConfig::default());
 //! let problem = examples::figure1();
-//! let result = allocator.allocate(&problem, &Budget::steps(100_000));
+//! let result = ladder.solve(&problem, &Budget::steps(100_000));
 //! let solution = result.outcome.solution().expect("figure1 is solvable");
 //! assert!(solution.validate(&problem).is_ok());
+//! // Figure 1 is too tight for the greedy heuristic: the search solved it.
+//! assert_ne!(result.stage, ResilienceStage::Heuristic);
 //! ```
 
 #![warn(missing_docs)]
@@ -36,7 +43,6 @@
 mod adaptive;
 mod backtrack;
 mod config;
-mod frontend;
 mod portfolio;
 mod resilience;
 mod search;
@@ -47,10 +53,9 @@ pub use backtrack::{
     FixedStepPolicy, NullObserver, PlacedDecision, SearchObserver, StepContext, TargetFeatures,
 };
 pub use config::TelaConfig;
-pub use frontend::{Allocator, PipelineResult, Stage};
 pub use portfolio::{
     default_variants, solve_portfolio, PortfolioResult, PortfolioVariant, VariantOutcome,
-    VariantReport, WinnerInfo,
+    VariantReport,
 };
 pub use resilience::{
     EscalationLadder, LadderConfig, LadderResult, NoSpill, SpillHook, StageReport,

@@ -7,17 +7,19 @@
 //! configurations — the full TelaMalloc configuration plus every §5.1
 //! selection strategy crossed with both backtrack policies — on scoped
 //! OS threads. The first worker to reach a *decisive* outcome (a
-//! validated solution, or a proof of infeasibility) claims the race and
-//! cancels the rest through a shared [`AtomicBool`] threaded into every
-//! worker's [`Budget`]; the CP solver and engine poll that flag on
-//! their step boundaries, so losers stop within one step.
+//! validated solution, or a proof of infeasibility) cancels the rest
+//! through a shared [`AtomicBool`] threaded into every worker's
+//! [`Budget`]; the CP solver and engine poll that flag on their step
+//! boundaries, so losers stop within one step.
 //!
-//! The shared-pruning channel is deliberately lock-light: the only
-//! atomics on the hot path are the cancellation flag (read) and one
-//! `swap` per decisive finish (claim); the winner slot's mutex is
-//! touched once per race. The `tela-audit` preflight runs once, up
-//! front, for the whole race — a certificate of infeasibility aborts
-//! the portfolio before any worker spawns.
+//! Every race is a schedule of *rounds*, and one executor
+//! ([`run_round`]) runs every round: the blind race below is a fixed
+//! schedule, the adaptive scheduler (`crate::adaptive`) picks its rounds
+//! by UCB. The shared-pruning channel is deliberately lock-light: the
+//! only atomics on the hot path are the cancellation flag (read) and the
+//! slot cursor. The `tela-audit` preflight runs once, up front, for the
+//! whole race — a certificate of infeasibility aborts the portfolio
+//! before any worker spawns.
 
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -25,14 +27,13 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Once, PoisonError};
 use std::time::Instant;
 
-use tela_audit::Verdict;
 use tela_heuristics::SelectionStrategy;
 use tela_model::{Budget, BufferId, Problem, RaceWinner, SolveOutcome, SolveStats};
 
 use crate::adaptive::AdaptiveReport;
-use crate::backtrack::{NullObserver, PlacedDecision};
+use crate::backtrack::PlacedDecision;
 use crate::config::TelaConfig;
-use crate::search::{default_policy, solve_with, TelaResult};
+use crate::search::{settle_by_preflight, solve, TelaResult};
 
 /// One competitor in the portfolio race: a named search configuration.
 #[derive(Debug, Clone)]
@@ -79,24 +80,6 @@ impl VariantOutcome {
     }
 }
 
-/// Identity of the race's winning variant: which strategy×policy
-/// configuration claimed the race, and on which worker thread.
-///
-/// Attached to [`TelaResult::winner`] (and, in compact numeric form, to
-/// [`SolveStats::winner`](tela_model::SolveStats) as a
-/// [`RaceWinner`], which survives [`SolveStats::absorb`] through the
-/// resilience ladder and front-end aggregation).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WinnerInfo {
-    /// Index into the race's variant list.
-    pub index: usize,
-    /// The winning variant's display name, e.g. `"max-size/fixed-step"`.
-    pub name: String,
-    /// Worker-thread ordinal that ran the winning attempt (`0` for
-    /// sequential races and the pre-race sprint).
-    pub thread: u32,
-}
-
 /// What one variant did during the race.
 #[derive(Debug, Clone)]
 pub struct VariantReport {
@@ -118,7 +101,9 @@ pub struct PortfolioResult {
     /// `GaveUp` when nobody was decisive). `stats.elapsed` is the race's
     /// wall-clock time, not the winner's own.
     pub result: TelaResult,
-    /// Index into the variant list of the claiming worker, if any.
+    /// Index into the variant list of the winning variant, if any. Its
+    /// name is `reports[index].name`; `result.stats.winner` also
+    /// records the worker thread that ran it.
     pub winner: Option<usize>,
     /// Per-variant reports, indexed like the variant list. `None` means
     /// the race was cancelled before that variant started.
@@ -254,38 +239,25 @@ fn same_search_behavior(a: &TelaConfig, b: &TelaConfig) -> bool {
 }
 
 /// Worker-side view of a variant's configuration: the driver already
-/// preflighted, and races never nest.
-fn worker_config(variant: &PortfolioVariant) -> TelaConfig {
+/// preflighted, races never nest, and a nonzero `perturbation` seeds a
+/// jittered block ordering (`tela_heuristics::perturb`). This is the
+/// one copy of the variant's configuration a run makes.
+fn worker_config(variant: &PortfolioVariant, perturbation: u64) -> TelaConfig {
     let mut config = variant.config.clone();
     config.preflight_audit = false;
     config.threads = 1;
     config.variants = Vec::new();
+    if perturbation != 0 {
+        config.perturbation_seed = perturbation;
+    }
     config
-}
-
-/// Runs one variant to completion under `budget` and reports.
-fn run_variant(problem: &Problem, budget: &Budget, variant: &PortfolioVariant) -> TelaResult {
-    let config = worker_config(variant);
-    let mut policy = default_policy(&config);
-    let mut observer = NullObserver;
-    solve_with(problem, budget, &config, policy.as_mut(), &mut observer)
-}
-
-/// Runs one variant with panic isolation: a panicking worker yields the
-/// captured message instead of unwinding through the race.
-pub(crate) fn run_variant_isolated(
-    problem: &Problem,
-    budget: &Budget,
-    variant: &PortfolioVariant,
-) -> Result<TelaResult, String> {
-    catch_panics(|| run_variant(problem, budget, variant))
 }
 
 /// The budget one variant runs under: the race budget, plus — with the
 /// `fault-inject` feature and a configured plan targeting this variant —
 /// a fresh fault injector. A fresh injector per run means a plan fires
 /// in both the sprint and the race proper.
-pub(crate) fn variant_budget(budget: &Budget, _config: &TelaConfig, _index: usize) -> Budget {
+fn variant_budget(budget: &Budget, _config: &TelaConfig, _index: usize) -> Budget {
     #[cfg(feature = "fault-inject")]
     if let Some(plan) = &_config.fault_plan {
         if plan.applies_to_variant(_index) {
@@ -297,29 +269,276 @@ pub(crate) fn variant_budget(budget: &Budget, _config: &TelaConfig, _index: usiz
     budget.clone()
 }
 
-/// Remembers the longest committed prefix (and its conflict clique)
-/// among non-decisive finishes, for best-effort degradation.
-pub(crate) fn note_partial(
-    best: &mut Option<(Vec<PlacedDecision>, Vec<BufferId>)>,
-    result: &TelaResult,
-) {
-    if is_decisive(&result.outcome) {
-        return;
-    }
-    let replace = match best {
-        None => !result.partial.is_empty() || !result.first_conflict.is_empty(),
-        Some((prefix, _)) => result.partial.len() > prefix.len(),
-    };
-    if replace {
-        *best = Some((result.partial.clone(), result.first_conflict.clone()));
-    }
-}
-
 /// A decisive outcome ends the race: a solution, or a proof that no
 /// solution exists. `GaveUp` and `BudgetExceeded` are not proofs — some
 /// other variant may still succeed.
 pub(crate) fn is_decisive(outcome: &SolveOutcome) -> bool {
     matches!(outcome, SolveOutcome::Solved(_) | SolveOutcome::Infeasible)
+}
+
+/// One slot of a race round: which variant runs, under which step
+/// quota, with which block ordering.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Slot {
+    /// Index into the race's variant list.
+    pub(crate) variant: usize,
+    /// Step cap of this run; `None` runs under the race budget as is.
+    pub(crate) quota: Option<u64>,
+    /// Perturbation seed; `0` keeps the variant's canonical ordering.
+    pub(crate) perturbation: u64,
+}
+
+/// What one slot produced: the variant's result or its captured panic
+/// message, and the worker-thread ordinal that ran it.
+pub(crate) struct SlotRun {
+    pub(crate) slot: Slot,
+    pub(crate) outcome: Result<TelaResult, String>,
+    pub(crate) thread: u32,
+}
+
+impl SlotRun {
+    fn is_decisive(&self) -> bool {
+        matches!(&self.outcome, Ok(result) if is_decisive(&result.outcome))
+    }
+}
+
+/// Runs one slot inside its `portfolio.variant` span, with panic
+/// isolation: a panicking worker yields the captured message instead of
+/// unwinding through the race.
+fn run_slot(
+    buf: &mut tela_trace::TraceBuffer,
+    problem: &Problem,
+    budget: &Budget,
+    variants: &[PortfolioVariant],
+    config: &TelaConfig,
+    slot: Slot,
+    thread: u32,
+) -> SlotRun {
+    let variant = &variants[slot.variant];
+    let mut worker_budget = variant_budget(budget, config, slot.variant);
+    if let Some(quota) = slot.quota {
+        worker_budget = worker_budget.with_max_steps(quota);
+    }
+    let span = begin_variant(buf, slot.variant, variant);
+    let outcome = catch_panics(|| {
+        solve(
+            problem,
+            &worker_budget,
+            &worker_config(variant, slot.perturbation),
+        )
+    });
+    end_variant(buf, span, slot.variant, variant, outcome.as_ref(), config);
+    SlotRun {
+        slot,
+        outcome,
+        thread,
+    }
+}
+
+/// Runs one race round; the blind and adaptive schedules both run
+/// every variant through here.
+///
+/// With one worker (or one slot) the slots run in order and the first
+/// decisive finish ends the round: later slots never start, so the
+/// round is a pure function of its inputs. With more, `threads` workers
+/// pull slots from a shared cursor, and the first decisive finish
+/// raises the cancellation flag threaded into every worker's budget;
+/// the CP solver and engine poll it on their step boundaries, so the
+/// other runs stop within one step and report with `stats.cancelled`
+/// set. Runs come back in slot order; slots that never started are
+/// absent.
+pub(crate) fn run_round(
+    problem: &Problem,
+    budget: &Budget,
+    variants: &[PortfolioVariant],
+    config: &TelaConfig,
+    slots: &[Slot],
+    threads: usize,
+) -> Vec<SlotRun> {
+    if threads <= 1 || slots.len() <= 1 {
+        let mut buf = config.tracer.buffer();
+        let mut runs = Vec::with_capacity(slots.len());
+        for &slot in slots {
+            let run = run_slot(&mut buf, problem, budget, variants, config, slot, 0);
+            let decisive = run.is_decisive();
+            runs.push(run);
+            if decisive {
+                break;
+            }
+        }
+        return runs;
+    }
+    let cancel = Arc::new(AtomicBool::new(false));
+    let budget = budget.clone().with_cancel(Arc::clone(&cancel));
+    let cursor = AtomicUsize::new(0);
+    let done: Vec<Mutex<Option<SlotRun>>> = slots.iter().map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for worker in 0..threads.min(slots.len()) {
+            let (cancel, budget, cursor, done) = (&cancel, &budget, &cursor, &done);
+            scope.spawn(move || {
+                let mut buf = config.tracer.buffer();
+                while !cancel.load(Ordering::Acquire) {
+                    let index = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(&slot) = slots.get(index) else {
+                        break;
+                    };
+                    let run = run_slot(
+                        &mut buf,
+                        problem,
+                        budget,
+                        variants,
+                        config,
+                        slot,
+                        worker as u32,
+                    );
+                    if run.is_decisive() {
+                        cancel.store(true, Ordering::Release);
+                    }
+                    *lock_resilient(&done[index]) = Some(run);
+                }
+            });
+        }
+    });
+    done.into_iter()
+        .filter_map(|run| run.into_inner().unwrap_or_else(PoisonError::into_inner))
+        .collect()
+}
+
+/// Locks a mutex, recovering the data from a poisoned lock: race
+/// bookkeeping stays usable even if some worker panicked outside the
+/// isolated region while holding a slot.
+fn lock_resilient<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Race bookkeeping shared by the blind and adaptive schedules: the
+/// latest report per variant, the winner, and the longest committed
+/// prefix any loser reached.
+pub(crate) struct Race {
+    reports: Vec<Option<VariantReport>>,
+    winner: Option<(usize, u32, TelaResult)>,
+    best_partial: Option<(Vec<PlacedDecision>, Vec<BufferId>)>,
+}
+
+impl Race {
+    pub(crate) fn new(variants: usize) -> Self {
+        Race {
+            reports: vec![None; variants],
+            winner: None,
+            best_partial: None,
+        }
+    }
+
+    /// True once some run was decisive.
+    pub(crate) fn decided(&self) -> bool {
+        self.winner.is_some()
+    }
+
+    /// Files one run: its report replaces the variant's previous one,
+    /// an indecisive result competes for the best-effort prefix, and the
+    /// first decisive run recorded wins the race.
+    pub(crate) fn record(&mut self, run: SlotRun, variants: &[PortfolioVariant]) {
+        let index = run.slot.variant;
+        let name = variants[index].name.clone();
+        let result = match run.outcome {
+            Ok(result) => result,
+            Err(message) => {
+                self.reports[index] = Some(VariantReport {
+                    name,
+                    outcome: VariantOutcome::Panicked { message },
+                    stats: SolveStats::default(),
+                });
+                return;
+            }
+        };
+        self.reports[index] = Some(VariantReport {
+            name,
+            outcome: VariantOutcome::Finished(result.outcome.clone()),
+            stats: result.stats,
+        });
+        if is_decisive(&result.outcome) {
+            if self.winner.is_none() {
+                self.winner = Some((index, run.thread, result));
+            }
+            return;
+        }
+        let longer = match &self.best_partial {
+            None => !result.partial.is_empty() || !result.first_conflict.is_empty(),
+            Some((prefix, _)) => result.partial.len() > prefix.len(),
+        };
+        if longer {
+            self.best_partial = Some((result.partial, result.first_conflict));
+        }
+    }
+
+    /// Builds the final result: the winner's, or an aggregate over every
+    /// variant that ran when nobody was decisive. The aggregate carries
+    /// the longest committed prefix any variant reached, so the
+    /// resilience ladder can degrade to a best-effort answer.
+    pub(crate) fn finish(
+        self,
+        variants: &[PortfolioVariant],
+        tracer: &tela_trace::Tracer,
+    ) -> PortfolioResult {
+        let Race {
+            reports,
+            winner,
+            best_partial,
+        } = self;
+        if let Some((index, thread, mut result)) = winner {
+            if tracer.enabled() {
+                tracer.instant(
+                    "portfolio",
+                    "variant_won",
+                    vec![
+                        ("index".into(), index.into()),
+                        ("name".into(), variants[index].name.clone().into()),
+                    ],
+                );
+            }
+            result.stats.winner = Some(RaceWinner {
+                variant: index as u32,
+                thread,
+            });
+            return PortfolioResult {
+                result,
+                winner: Some(index),
+                reports,
+                adaptive: None,
+            };
+        }
+        let mut stats = SolveStats::default();
+        let mut budget_exceeded = false;
+        for report in reports.iter().flatten() {
+            stats.absorb(&report.stats);
+            budget_exceeded |= matches!(
+                report.outcome,
+                VariantOutcome::Finished(SolveOutcome::BudgetExceeded)
+            );
+        }
+        let outcome = if budget_exceeded {
+            SolveOutcome::BudgetExceeded
+        } else {
+            SolveOutcome::GaveUp
+        };
+        let (partial, first_conflict) = best_partial.unwrap_or_default();
+        // Aggregate stats absorbed per-variant stats, none of which
+        // carry a race winner; make the "nobody won" contract explicit.
+        stats.winner = None;
+        PortfolioResult {
+            result: TelaResult {
+                outcome,
+                stats,
+                decisions: Vec::new(),
+                partial,
+                first_conflict,
+                certificate: None,
+            },
+            winner: None,
+            reports,
+            adaptive: None,
+        }
+    }
 }
 
 /// Races `config.variants` (or [`default_variants`]) on
@@ -363,7 +582,7 @@ pub fn solve_portfolio(problem: &Problem, budget: &Budget, config: &TelaConfig) 
     } else {
         tela_trace::SpanId::NULL
     };
-    let mut race = run_portfolio(problem, budget, config);
+    let mut race = run_portfolio(problem, budget, config, start);
     race.result.stats.elapsed = start.elapsed();
     // Surface caught worker panics in the aggregate diagnostics: the
     // payloads themselves are on the per-variant reports and in the
@@ -373,14 +592,17 @@ pub fn solve_portfolio(problem: &Problem, budget: &Budget, config: &TelaConfig) 
         let ran = race.reports.iter().flatten().count() as u64;
         tracer.count("portfolio.variants.run", ran);
         tracer.count("portfolio.variants.panicked", race.panicked() as u64);
-        if let Some(info) = &race.result.winner {
+        if let (Some(index), Some(won)) = (race.winner, race.result.stats.winner) {
+            let name = race.reports[index]
+                .as_ref()
+                .map_or(String::new(), |r| r.name.clone());
             tracer.instant(
                 "portfolio",
                 "winner",
                 vec![
-                    ("index".into(), info.index.into()),
-                    ("name".into(), info.name.clone().into()),
-                    ("thread".into(), u64::from(info.thread).into()),
+                    ("index".into(), index.into()),
+                    ("name".into(), name.into()),
+                    ("thread".into(), u64::from(won.thread).into()),
                 ],
             );
         }
@@ -400,60 +622,20 @@ pub fn solve_portfolio(problem: &Problem, budget: &Budget, config: &TelaConfig) 
     race
 }
 
-fn run_portfolio(problem: &Problem, budget: &Budget, config: &TelaConfig) -> PortfolioResult {
-    // tela-lint: allow(deterministic-clock, reason = "stats-only wall stamping of elapsed; never branches the search")
-    let start = Instant::now();
+fn run_portfolio(
+    problem: &Problem,
+    budget: &Budget,
+    config: &TelaConfig,
+    start: Instant,
+) -> PortfolioResult {
     if config.preflight_audit {
-        match tela_audit::preflight(problem) {
-            Verdict::ProvablyInfeasible(cert) => {
-                crate::search::note_certificate(&config.tracer, &cert);
-                return PortfolioResult {
-                    result: TelaResult {
-                        outcome: SolveOutcome::Infeasible,
-                        stats: stamp(SolveStats::default(), start),
-                        decisions: Vec::new(),
-                        partial: Vec::new(),
-                        first_conflict: Vec::new(),
-                        certificate: Some(cert),
-                        winner: None,
-                    },
-                    winner: None,
-                    reports: Vec::new(),
-                    adaptive: None,
-                };
-            }
-            Verdict::TriviallyFeasible(solution) => {
-                if config.tracer.enabled() {
-                    config.tracer.count("audit.preflight.trivial", 1);
-                    config.tracer.instant(
-                        "audit",
-                        "trivially_feasible",
-                        vec![("buffers".into(), problem.len().into())],
-                    );
-                }
-                let decisions = problem
-                    .iter()
-                    .map(|(id, _)| PlacedDecision {
-                        block: id,
-                        address: solution.address(id),
-                    })
-                    .collect();
-                return PortfolioResult {
-                    result: TelaResult {
-                        outcome: SolveOutcome::Solved(solution),
-                        stats: stamp(SolveStats::default(), start),
-                        decisions,
-                        partial: Vec::new(),
-                        first_conflict: Vec::new(),
-                        certificate: None,
-                        winner: None,
-                    },
-                    winner: None,
-                    reports: Vec::new(),
-                    adaptive: None,
-                };
-            }
-            Verdict::NeedsSearch(_) => {}
+        if let Some(result) = settle_by_preflight(problem, &config.tracer, start) {
+            return PortfolioResult {
+                result,
+                winner: None,
+                reports: Vec::new(),
+                adaptive: None,
+            };
         }
     }
     let variants = if config.variants.is_empty() {
@@ -466,20 +648,17 @@ fn run_portfolio(problem: &Problem, budget: &Budget, config: &TelaConfig) -> Por
     // and no fault plan is active: under fault injection the portfolio
     // must degrade to the blind race bit-for-bit so the chaos and
     // trace-determinism suites exercise unchanged behavior.
-    let mut race = if let Some(ranker) = adaptive_ranker(config) {
-        crate::adaptive::race_adaptive(problem, budget, &variants, threads, config, ranker.as_ref())
-    } else if threads == 1 {
-        race_sequential(problem, budget, &variants, config)
-    } else {
-        race_parallel(problem, budget, &variants, threads, config)
-    };
-    race.result.stats.elapsed = start.elapsed();
-    race
-}
-
-fn stamp(mut stats: SolveStats, start: Instant) -> SolveStats {
-    stats.elapsed = start.elapsed();
-    stats
+    match adaptive_ranker(config) {
+        Some(ranker) => crate::adaptive::race_adaptive(
+            problem,
+            budget,
+            &variants,
+            threads,
+            config,
+            ranker.as_ref(),
+        ),
+        None => race_blind(problem, budget, &variants, threads, config),
+    }
 }
 
 /// The configured ranker, unless a fault plan forces the deterministic
@@ -492,48 +671,70 @@ fn adaptive_ranker(config: &TelaConfig) -> Option<&Arc<dyn crate::adaptive::Vari
     config.adaptive.ranker.as_ref()
 }
 
-/// `threads == 1`: run variants in order until one is decisive.
-fn race_sequential(
+/// Step cap for the sprint that precedes a multi-threaded blind race.
+///
+/// Most production instances are easy (§2.3): the base variant settles
+/// them in well under a few thousand steps. Racing those from a cold
+/// start taxes them with thread spawning and CPU time-slicing, so the
+/// driver first sprints variant 0 alone at full single-thread speed and
+/// only spawns the race for instances the sprint cannot settle. The
+/// sprint's steps are the race's only duplicated work, bounded by this
+/// cap (and by a quarter of the real budget, so tiny budgets keep most
+/// of their steps for the race).
+const SPRINT_STEPS: u64 = 4096;
+
+/// The blind race: a fixed schedule over the variant list. At
+/// `threads > 1` a one-slot sprint of variant 0 runs first (see
+/// [`SPRINT_STEPS`]); unless it is decisive, one round then runs every
+/// variant under the full budget. A panicked or indecisive sprint is
+/// discarded — the round re-runs variant 0 and reports whatever
+/// happens there.
+fn race_blind(
     problem: &Problem,
     budget: &Budget,
     variants: &[PortfolioVariant],
+    threads: usize,
     config: &TelaConfig,
 ) -> PortfolioResult {
-    let mut reports: Vec<Option<VariantReport>> = vec![None; variants.len()];
-    let mut winner = None;
-    let mut best_partial = None;
-    let mut buf = config.tracer.buffer();
-    for (index, variant) in variants.iter().enumerate() {
-        let span = begin_variant(&mut buf, index, variant);
-        let worker_budget = variant_budget(budget, config, index);
-        match run_variant_isolated(problem, &worker_budget, variant) {
-            Ok(result) => {
-                end_variant(&mut buf, span, index, variant, Ok(&result), config);
-                let decisive = is_decisive(&result.outcome);
-                note_partial(&mut best_partial, &result);
-                reports[index] = Some(VariantReport {
-                    name: variant.name.clone(),
-                    outcome: VariantOutcome::Finished(result.outcome.clone()),
-                    stats: result.stats,
-                });
-                if decisive {
-                    note_win(&mut buf, index, variant);
-                    winner = Some((index, 0, result));
-                    break;
-                }
+    let tracer = &config.tracer;
+    let mut race = Race::new(variants.len());
+    if threads > 1 {
+        let quota = budget
+            .max_steps()
+            .map_or(SPRINT_STEPS, |cap| (cap / 4).clamp(1, SPRINT_STEPS));
+        let sprint = Slot {
+            variant: 0,
+            quota: Some(quota),
+            perturbation: 0,
+        };
+        let runs = run_round(problem, budget, variants, config, &[sprint], 1);
+        let decisive = runs.iter().any(SlotRun::is_decisive);
+        if tracer.enabled() {
+            tracer.count("portfolio.sprints", 1);
+            tracer.instant(
+                "portfolio",
+                "sprint",
+                vec![("decisive".into(), decisive.into())],
+            );
+        }
+        if decisive {
+            for run in runs {
+                race.record(run, variants);
             }
-            Err(message) => {
-                end_variant(&mut buf, span, index, variant, Err(&message), config);
-                reports[index] = Some(VariantReport {
-                    name: variant.name.clone(),
-                    outcome: VariantOutcome::Panicked { message },
-                    stats: SolveStats::default(),
-                });
-            }
+            return race.finish(variants, tracer);
         }
     }
-    drop(buf);
-    finish_race(winner, variants, reports, best_partial)
+    let slots: Vec<Slot> = (0..variants.len())
+        .map(|variant| Slot {
+            variant,
+            quota: None,
+            perturbation: 0,
+        })
+        .collect();
+    for run in run_round(problem, budget, variants, config, &slots, threads) {
+        race.record(run, variants);
+    }
+    race.finish(variants, tracer)
 }
 
 // -----------------------------------------------------------------
@@ -542,7 +743,7 @@ fn race_sequential(
 // not once per event; sequence numbers still come from the shared
 // counter, so the merged timeline stays totally ordered.
 
-pub(crate) fn begin_variant(
+fn begin_variant(
     buf: &mut tela_trace::TraceBuffer,
     index: usize,
     variant: &PortfolioVariant,
@@ -560,7 +761,7 @@ pub(crate) fn begin_variant(
     )
 }
 
-pub(crate) fn end_variant(
+fn end_variant(
     buf: &mut tela_trace::TraceBuffer,
     span: tela_trace::SpanId,
     index: usize,
@@ -611,237 +812,6 @@ pub(crate) fn end_variant(
                     ("outcome".into(), "panicked".into()),
                 ],
             );
-        }
-    }
-}
-
-pub(crate) fn note_win(
-    buf: &mut tela_trace::TraceBuffer,
-    index: usize,
-    variant: &PortfolioVariant,
-) {
-    if buf.enabled() {
-        buf.instant(
-            "portfolio",
-            "variant_won",
-            vec![
-                ("index".into(), index.into()),
-                ("name".into(), variant.name.clone().into()),
-            ],
-        );
-    }
-}
-
-/// Step cap for the sequential sprint that precedes a parallel race.
-///
-/// Most production instances are easy (§2.3): the base variant settles
-/// them in well under a few thousand steps. Racing those from a cold
-/// start taxes them with thread spawning and CPU time-slicing, so the
-/// driver first sprints variant 0 alone at full single-thread speed and
-/// only spawns the race for instances the sprint cannot settle. The
-/// sprint's steps are the race's only duplicated work, bounded by this
-/// cap (and by a quarter of the real budget, so tiny budgets keep most
-/// of their steps for the race).
-const SPRINT_STEPS: u64 = 4096;
-
-fn sprint_budget(budget: &Budget) -> Budget {
-    let cap = match budget.max_steps() {
-        Some(cap) => (cap / 4).clamp(1, SPRINT_STEPS),
-        None => SPRINT_STEPS,
-    };
-    budget.clone().with_max_steps(cap)
-}
-
-/// `threads > 1`: a short sequential sprint of the base variant, then
-/// workers pull variant indices from a shared counter and race; the
-/// first decisive finish claims the winner slot and raises the
-/// cancellation flag for everyone else.
-fn race_parallel(
-    problem: &Problem,
-    budget: &Budget,
-    variants: &[PortfolioVariant],
-    threads: usize,
-    config: &TelaConfig,
-) -> PortfolioResult {
-    // The sprint runs isolated too: a deterministic early panic in
-    // variant 0 must not abort the race before it starts. A panicked or
-    // indecisive sprint is simply discarded — the race re-runs variant 0
-    // with its full budget and reports whatever happens there.
-    let sprint = run_variant_isolated(
-        problem,
-        &variant_budget(&sprint_budget(budget), config, 0),
-        &variants[0],
-    );
-    if config.tracer.enabled() {
-        let decisive = matches!(&sprint, Ok(r) if is_decisive(&r.outcome));
-        config.tracer.count("portfolio.sprints", 1);
-        config.tracer.instant(
-            "portfolio",
-            "sprint",
-            vec![("decisive".into(), decisive.into())],
-        );
-    }
-    if let Ok(sprint) = sprint {
-        if is_decisive(&sprint.outcome) {
-            note_win(&mut config.tracer.buffer(), 0, &variants[0]);
-            let mut reports: Vec<Option<VariantReport>> = vec![None; variants.len()];
-            reports[0] = Some(VariantReport {
-                name: variants[0].name.clone(),
-                outcome: VariantOutcome::Finished(sprint.outcome.clone()),
-                stats: sprint.stats,
-            });
-            return finish_race(Some((0, 0, sprint)), variants, reports, None);
-        }
-    }
-    let cancel = Arc::new(AtomicBool::new(false));
-    let claimed = AtomicBool::new(false);
-    let winner: Mutex<Option<(usize, u32, TelaResult)>> = Mutex::new(None);
-    let best_partial: Mutex<Option<(Vec<PlacedDecision>, Vec<BufferId>)>> = Mutex::new(None);
-    let reports: Vec<Mutex<Option<VariantReport>>> =
-        variants.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for worker in 0..threads {
-            let cancel = &cancel;
-            let claimed = &claimed;
-            let winner = &winner;
-            let best_partial = &best_partial;
-            let reports = &reports;
-            let next = &next;
-            scope.spawn(move || {
-                let mut buf = config.tracer.buffer();
-                loop {
-                    if cancel.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(variant) = variants.get(index) else {
-                        break;
-                    };
-                    let span = begin_variant(&mut buf, index, variant);
-                    let worker_budget =
-                        variant_budget(budget, config, index).with_cancel(Arc::clone(cancel));
-                    let report = match run_variant_isolated(problem, &worker_budget, variant) {
-                        Ok(result) => {
-                            end_variant(&mut buf, span, index, variant, Ok(&result), config);
-                            let decisive = is_decisive(&result.outcome);
-                            let report = VariantReport {
-                                name: variant.name.clone(),
-                                outcome: VariantOutcome::Finished(result.outcome.clone()),
-                                stats: result.stats,
-                            };
-                            if decisive {
-                                // Claim is a single uncontended swap; only
-                                // the first decisive finisher takes the
-                                // mutex and flips the flag.
-                                if !claimed.swap(true, Ordering::AcqRel) {
-                                    note_win(&mut buf, index, variant);
-                                    *lock_resilient(winner) = Some((index, worker as u32, result));
-                                    cancel.store(true, Ordering::Release);
-                                }
-                            } else {
-                                note_partial(&mut lock_resilient(best_partial), &result);
-                            }
-                            report
-                        }
-                        Err(message) => {
-                            end_variant(&mut buf, span, index, variant, Err(&message), config);
-                            VariantReport {
-                                name: variant.name.clone(),
-                                outcome: VariantOutcome::Panicked { message },
-                                stats: SolveStats::default(),
-                            }
-                        }
-                    };
-                    *lock_resilient(&reports[index]) = Some(report);
-                }
-            });
-        }
-    });
-    let winner = winner.into_inner().unwrap_or_else(PoisonError::into_inner);
-    let best_partial = best_partial
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    let reports = reports
-        .into_iter()
-        .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
-        .collect();
-    finish_race(winner, variants, reports, best_partial)
-}
-
-/// Locks a mutex, recovering the data from a poisoned lock: race
-/// bookkeeping stays usable even if some worker panicked outside the
-/// isolated region while holding a slot.
-pub(crate) fn lock_resilient<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Builds the final result: the winner's, or an aggregate over every
-/// variant that ran when nobody was decisive. The aggregate carries the
-/// longest committed prefix any variant reached, so the resilience
-/// ladder can degrade to a best-effort answer.
-pub(crate) fn finish_race(
-    winner: Option<(usize, u32, TelaResult)>,
-    variants: &[PortfolioVariant],
-    reports: Vec<Option<VariantReport>>,
-    best_partial: Option<(Vec<PlacedDecision>, Vec<BufferId>)>,
-) -> PortfolioResult {
-    match winner {
-        Some((index, thread, mut result)) => {
-            let name = variants
-                .get(index)
-                .map(|v| v.name.clone())
-                .unwrap_or_default();
-            result.winner = Some(WinnerInfo {
-                index,
-                name,
-                thread,
-            });
-            result.stats.winner = Some(RaceWinner {
-                variant: index as u32,
-                thread,
-            });
-            PortfolioResult {
-                result,
-                winner: Some(index),
-                reports,
-                adaptive: None,
-            }
-        }
-        None => {
-            let mut stats = SolveStats::default();
-            let mut budget_exceeded = false;
-            for report in reports.iter().flatten() {
-                stats.absorb(&report.stats);
-                budget_exceeded |= matches!(
-                    report.outcome,
-                    VariantOutcome::Finished(SolveOutcome::BudgetExceeded)
-                );
-            }
-            let outcome = if budget_exceeded {
-                SolveOutcome::BudgetExceeded
-            } else {
-                SolveOutcome::GaveUp
-            };
-            let (partial, first_conflict) = best_partial.unwrap_or_default();
-            // Aggregate stats absorbed per-variant stats, none of which
-            // carry a race winner; make the "nobody won" contract
-            // explicit on both levels.
-            stats.winner = None;
-            PortfolioResult {
-                result: TelaResult {
-                    outcome,
-                    stats,
-                    decisions: Vec::new(),
-                    partial,
-                    first_conflict,
-                    certificate: None,
-                    winner: None,
-                },
-                winner: None,
-                reports,
-                adaptive: None,
-            }
         }
     }
 }

@@ -40,32 +40,22 @@ use crate::portfolio::{catch_panics, solve_portfolio};
 /// Tuning knobs for the [`EscalationLadder`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LadderConfig {
-    /// Try the greedy heuristic before each portfolio stage (the paper's
-    /// fast path; it costs microseconds and wins on most production
-    /// instances).
-    pub greedy_first: bool,
-    /// Percentage of the remaining step budget granted to the first
-    /// portfolio attempt; the rest is held back for spill retries.
-    /// Ignored (the first attempt gets everything) when
-    /// `max_spill_rounds` is zero.
-    pub first_attempt_percent: u32,
     /// Maximum number of spill-and-retry rounds after the first attempt.
     pub max_spill_rounds: u32,
-    /// Sleep between stages (a production system would use this to
-    /// yield the core; tests keep it at zero).
-    pub backoff: Duration,
 }
 
 impl Default for LadderConfig {
     fn default() -> Self {
         LadderConfig {
-            greedy_first: true,
-            first_attempt_percent: 60,
             max_spill_rounds: 8,
-            backoff: Duration::ZERO,
         }
     }
 }
+
+/// Percentage of the remaining step budget (and deadline) granted to the
+/// first portfolio attempt when spill rounds are configured; the rest is
+/// held back for the retries.
+const FIRST_ATTEMPT_PERCENT: u128 = 60;
 
 /// Supplies the next, smaller problem when a stage fails: each call
 /// evicts something (e.g. spills a tensor to DRAM, as
@@ -207,7 +197,7 @@ impl EscalationLadder {
         hook: &mut dyn SpillHook,
     ) -> LadderResult {
         let tracer = &self.config.tracer;
-        let lc = self.config.ladder.clone();
+        let lc = &self.config.ladder;
         let mut current = problem;
         let mut agg = SolveStats::default();
         let mut stages: Vec<StageReport> = Vec::new();
@@ -226,46 +216,43 @@ impl EscalationLadder {
 
             // Fast path: the greedy heuristic, isolated like any other
             // worker — a panic in it merely skips to the portfolio.
-            if lc.greedy_first {
-                let greedy =
-                    catch_panics(|| tela_heuristics::greedy::solve_traced(&current, tracer));
-                if let Ok(heuristic) = greedy {
-                    if let Some(solution) = heuristic.solution {
-                        if solution.validate(&current).is_ok() {
-                            if tracer.enabled() {
-                                tracer.count("ladder.greedy_wins", 1);
-                                tracer.instant(
-                                    "ladder",
-                                    "greedy_solved",
-                                    vec![("round".into(), u64::from(round).into())],
-                                );
-                            }
-                            let stage = if round == 0 {
-                                ResilienceStage::Heuristic
-                            } else {
-                                stage_id
-                            };
-                            stages.push(StageReport {
-                                stage,
-                                outcome: SolveOutcome::Solved(solution.clone()),
-                                stats: SolveStats::default(),
-                            });
-                            return LadderResult {
-                                outcome: SolveOutcome::Solved(solution),
-                                problem: current,
-                                spill_rounds: round,
-                                stage,
-                                stages,
-                                stats: agg,
-                                certificate: None,
-                            };
+            let greedy = catch_panics(|| tela_heuristics::greedy::solve_traced(&current, tracer));
+            if let Ok(heuristic) = greedy {
+                if let Some(solution) = heuristic.solution {
+                    if solution.validate(&current).is_ok() {
+                        if tracer.enabled() {
+                            tracer.count("ladder.greedy_wins", 1);
+                            tracer.instant(
+                                "ladder",
+                                "greedy_solved",
+                                vec![("round".into(), u64::from(round).into())],
+                            );
                         }
+                        let stage = if round == 0 {
+                            ResilienceStage::Heuristic
+                        } else {
+                            stage_id
+                        };
+                        stages.push(StageReport {
+                            stage,
+                            outcome: SolveOutcome::Solved(solution.clone()),
+                            stats: SolveStats::default(),
+                        });
+                        return LadderResult {
+                            outcome: SolveOutcome::Solved(solution),
+                            problem: current,
+                            spill_rounds: round,
+                            stage,
+                            stages,
+                            stats: agg,
+                            certificate: None,
+                        };
                     }
                 }
             }
 
             deepest = stage_id;
-            let stage_budget = round_budget(budget, &lc, agg.steps, round);
+            let stage_budget = round_budget(budget, lc, agg.steps, round);
             let race = solve_portfolio(&current, &stage_budget, &self.config);
             agg.absorb(&race.result.stats);
             stages.push(StageReport {
@@ -332,9 +319,6 @@ impl EscalationLadder {
                                 ("buffers".into(), spilled.len().into()),
                             ],
                         );
-                    }
-                    if !lc.backoff.is_zero() {
-                        std::thread::sleep(lc.backoff);
                     }
                     current = spilled;
                     round += 1;
@@ -417,7 +401,7 @@ impl EscalationLadder {
 /// axes, re-measured at the moment the stage starts:
 ///
 /// - **Steps**: the first attempt gets
-///   [`LadderConfig::first_attempt_percent`] of the steps not yet spent
+///   `FIRST_ATTEMPT_PERCENT` (60%) of the steps not yet spent
 ///   (all of them when no spill rounds are configured); each spill
 ///   round gets an even share of what is left at that point.
 /// - **Deadline**: the same fractions applied to the time left until
@@ -455,7 +439,7 @@ fn round_budget_at(
             if lc.max_spill_rounds == 0 {
                 remaining
             } else {
-                remaining * u128::from(lc.first_attempt_percent.min(100)) / 100
+                remaining * FIRST_ATTEMPT_PERCENT / 100
             }
         } else {
             // Even share over this and all remaining rounds.
@@ -520,6 +504,36 @@ mod tests {
             .certificate
             .expect("preflight witness")
             .verify(&result.problem));
+    }
+
+    #[test]
+    fn resilient_pipeline_never_leaves_the_ladder_outcomes() {
+        for (p, budget) in [
+            (examples::tiny(), Budget::steps(100_000)),
+            (examples::figure1(), Budget::steps(100_000)),
+            (examples::infeasible(), Budget::steps(100_000)),
+            (examples::figure1(), Budget::steps(4)), // starved
+        ] {
+            let r = ladder().solve(&p, &budget);
+            match &r.outcome {
+                SolveOutcome::Solved(s) => assert!(s.validate(&r.problem).is_ok()),
+                SolveOutcome::Infeasible => assert!(r.certificate.is_some()),
+                SolveOutcome::BestEffort(b) => {
+                    assert!(b.partial.validate(&r.problem).is_ok());
+                }
+                other => panic!("ladder leaked {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn solutions_from_either_stage_validate() {
+        for p in [examples::tiny(), examples::figure1(), examples::aligned()] {
+            let r = ladder().solve(&p, &Budget::steps(500_000));
+            if let Some(s) = r.outcome.solution() {
+                assert!(s.validate(&p).is_ok());
+            }
+        }
     }
 
     /// A spill hook that removes the last buffer each round, like the
@@ -600,7 +614,6 @@ mod tests {
         // No spill rounds: the first attempt gets everything.
         let all_in = LadderConfig {
             max_spill_rounds: 0,
-            ..LadderConfig::default()
         };
         assert_eq!(round_budget(&budget, &all_in, 0, 0).max_steps(), Some(1000));
         // Unbounded budgets stay unbounded.
@@ -681,7 +694,6 @@ mod tests {
         // remainder, which must clamp exactly to the caller's deadline.
         let all_in = LadderConfig {
             max_spill_rounds: 0,
-            ..LadderConfig::default()
         };
         let t0 = Instant::now();
         let deadline = t0 + Duration::from_secs(10);

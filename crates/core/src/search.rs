@@ -45,13 +45,11 @@ pub struct TelaResult {
     /// The buffers involved in the first placement conflict the search
     /// hit (subject plus culprits); empty if no conflict occurred.
     pub first_conflict: Vec<BufferId>,
-    /// When the preflight audit proved infeasibility, the independently
-    /// checkable witness (see [`tela_audit::Certificate::verify`]).
+    /// The independently checkable witness (see
+    /// [`tela_audit::Certificate::verify`]) carried by every
+    /// `Infeasible` outcome: the preflight's, or the contention bound
+    /// when the CP model rejects the instance.
     pub certificate: Option<Certificate>,
-    /// The portfolio variant that produced this result, when it came out
-    /// of a race ([`solve_portfolio`](crate::solve_portfolio) fills this
-    /// on the winning result; plain [`solve`] runs leave it `None`).
-    pub winner: Option<crate::portfolio::WinnerInfo>,
 }
 
 /// Solves `problem` with the default configuration and backtrack policy.
@@ -143,57 +141,10 @@ fn solve_with_inner(
     // tela-lint: allow(deterministic-clock, reason = "stats-only wall stamping of elapsed; never branches the search")
     let start = Instant::now();
     if config.preflight_audit {
-        match tela_audit::preflight(problem) {
-            Verdict::ProvablyInfeasible(cert) => {
-                note_certificate(&config.tracer, &cert);
-                let stats = SolveStats {
-                    elapsed: start.elapsed(),
-                    ..SolveStats::default()
-                };
-                return TelaResult {
-                    outcome: SolveOutcome::Infeasible,
-                    stats,
-                    decisions: Vec::new(),
-                    partial: Vec::new(),
-                    first_conflict: Vec::new(),
-                    certificate: Some(cert),
-                    winner: None,
-                };
-            }
-            Verdict::TriviallyFeasible(solution) => {
-                if config.tracer.enabled() {
-                    config.tracer.count("audit.preflight.trivial", 1);
-                    config.tracer.instant(
-                        "audit",
-                        "trivially_feasible",
-                        vec![("buffers".into(), problem.len().into())],
-                    );
-                }
-                let decisions = problem
-                    .iter()
-                    .map(|(id, _)| PlacedDecision {
-                        block: id,
-                        address: solution.address(id),
-                    })
-                    .collect();
-                let stats = SolveStats {
-                    elapsed: start.elapsed(),
-                    ..SolveStats::default()
-                };
-                return TelaResult {
-                    outcome: SolveOutcome::Solved(solution),
-                    stats,
-                    decisions,
-                    partial: Vec::new(),
-                    first_conflict: Vec::new(),
-                    certificate: None,
-                    winner: None,
-                };
-            }
-            Verdict::NeedsSearch(_) => {
-                config.tracer.count("audit.preflight.needs_search", 1);
-            }
+        if let Some(settled) = settle_by_preflight(problem, &config.tracer, start) {
+            return settled;
         }
+        config.tracer.count("audit.preflight.needs_search", 1);
     }
     if config.split_independent {
         let groups = tela_model::split_independent(problem);
@@ -206,22 +157,64 @@ fn solve_with_inner(
     result
 }
 
-/// Records a preflight infeasibility certificate into the trace, so a
-/// solve that never searches still yields an explanatory timeline: the
-/// certificate kind plus its human-readable argument.
-pub(crate) fn note_certificate(tracer: &tela_trace::Tracer, cert: &Certificate) {
-    if tracer.enabled() {
-        tracer.count("audit.preflight.infeasible", 1);
-        tracer.count(&format!("audit.certificate.{}", cert.kind_name()), 1);
-        tracer.instant(
-            "audit",
-            "certificate",
-            vec![
-                ("kind".into(), cert.kind_name().into()),
-                ("detail".into(), cert.to_string().into()),
-            ],
-        );
-    }
+/// Runs the `tela-audit` static preflight. Returns the final result
+/// when the audit settles the instance on its own — a proven
+/// `Infeasible` carrying its certificate, or a search-free solution —
+/// and `None` when the instance needs search. Either settlement is
+/// recorded into the trace, so a solve that never searches still yields
+/// an explanatory timeline.
+pub(crate) fn settle_by_preflight(
+    problem: &Problem,
+    tracer: &tela_trace::Tracer,
+    start: Instant,
+) -> Option<TelaResult> {
+    let (outcome, decisions, certificate) = match tela_audit::preflight(problem) {
+        Verdict::NeedsSearch(_) => return None,
+        Verdict::ProvablyInfeasible(cert) => {
+            if tracer.enabled() {
+                tracer.count("audit.preflight.infeasible", 1);
+                tracer.count(&format!("audit.certificate.{}", cert.kind_name()), 1);
+                tracer.instant(
+                    "audit",
+                    "certificate",
+                    vec![
+                        ("kind".into(), cert.kind_name().into()),
+                        ("detail".into(), cert.to_string().into()),
+                    ],
+                );
+            }
+            (SolveOutcome::Infeasible, Vec::new(), Some(cert))
+        }
+        Verdict::TriviallyFeasible(solution) => {
+            if tracer.enabled() {
+                tracer.count("audit.preflight.trivial", 1);
+                tracer.instant(
+                    "audit",
+                    "trivially_feasible",
+                    vec![("buffers".into(), problem.len().into())],
+                );
+            }
+            let decisions = problem
+                .iter()
+                .map(|(id, _)| PlacedDecision {
+                    block: id,
+                    address: solution.address(id),
+                })
+                .collect();
+            (SolveOutcome::Solved(solution), decisions, None)
+        }
+    };
+    Some(TelaResult {
+        outcome,
+        stats: SolveStats {
+            elapsed: start.elapsed(),
+            ..SolveStats::default()
+        },
+        decisions,
+        partial: Vec::new(),
+        first_conflict: Vec::new(),
+        certificate,
+    })
 }
 
 /// Solves each time-disjoint group independently and merges (§5.3).
@@ -281,8 +274,9 @@ fn solve_split(
                     decisions: Vec::new(),
                     partial,
                     first_conflict,
-                    certificate: None,
-                    winner: None,
+                    // Contention certificates name a time step, not
+                    // buffers, so they hold for the whole problem too.
+                    certificate: sub_result.certificate,
                 };
             }
         }
@@ -297,7 +291,6 @@ fn solve_split(
         partial: Vec::new(),
         first_conflict: Vec::new(),
         certificate: None,
-        winner: None,
     }
 }
 
@@ -413,19 +406,17 @@ impl<'a> Engine<'a> {
         policy: &mut dyn BacktrackPolicy,
         observer: &mut dyn SearchObserver,
     ) -> TelaResult {
-        let mut solver = match CpSolver::new(problem) {
-            Ok(s) => s,
-            Err(_) => {
-                return TelaResult {
-                    outcome: SolveOutcome::Infeasible,
-                    stats: SolveStats::default(),
-                    decisions: Vec::new(),
-                    partial: Vec::new(),
-                    first_conflict: Vec::new(),
-                    certificate: None,
-                    winner: None,
-                }
-            }
+        let Ok(mut solver) = CpSolver::new(problem) else {
+            // The model rejects exactly the instances whose contention
+            // exceeds capacity, which the contention bound certifies.
+            return TelaResult {
+                outcome: SolveOutcome::Infeasible,
+                stats: SolveStats::default(),
+                decisions: Vec::new(),
+                partial: Vec::new(),
+                first_conflict: Vec::new(),
+                certificate: tela_audit::passes::contention_bound(problem),
+            };
         };
         solver.set_tracer(config.tracer.clone());
         let phases = config
@@ -537,7 +528,6 @@ impl<'a> Engine<'a> {
                     partial: Vec::new(),
                     first_conflict: Vec::new(),
                     certificate: None,
-                    winner: None,
                 };
             }
             if !self.current.queue_built {
@@ -575,7 +565,6 @@ impl<'a> Engine<'a> {
             partial: self.path(),
             first_conflict: self.first_conflict.clone().unwrap_or_default(),
             certificate: None,
-            winner: None,
         }
     }
 
@@ -1115,14 +1104,26 @@ mod tests {
     #[test]
     fn infeasible_detected_without_preflight_too() {
         // With the audit disabled the CP model construction still rejects
-        // contention-infeasible instances, just without a certificate.
+        // contention-infeasible instances, and still with a certificate.
         let cfg = TelaConfig {
             preflight_audit: false,
             ..TelaConfig::default()
         };
-        let r = solve(&examples::infeasible(), &Budget::steps(500_000), &cfg);
+        let p = examples::infeasible();
+        let r = solve(&p, &Budget::steps(500_000), &cfg);
         assert_eq!(r.outcome, SolveOutcome::Infeasible);
-        assert_eq!(r.certificate, None);
+        assert!(r.certificate.expect("contention witness").verify(&p));
+        // Split path: the over-contended group's certificate holds for
+        // the whole problem.
+        let split = Problem::builder(4)
+            .buffer(Buffer::new(0, 2, 3))
+            .buffer(Buffer::new(0, 2, 3))
+            .buffer(Buffer::new(5, 7, 4))
+            .build()
+            .unwrap();
+        let r = solve(&split, &Budget::steps(500_000), &cfg);
+        assert_eq!(r.outcome, SolveOutcome::Infeasible);
+        assert!(r.certificate.expect("contention witness").verify(&split));
     }
 
     #[test]

@@ -83,14 +83,15 @@ fn adaptive_race_solves_and_reports_the_schedule() {
         }
     }
 
-    // Winner identity is reported consistently in all three places.
+    // Winner identity is reported consistently in both places.
     let index = race.winner.expect("decisive race has a winner");
-    let info = race.result.winner.as_ref().expect("winner info attached");
-    assert_eq!(info.index, index);
-    assert_eq!(info.name, "telamalloc");
+    let report = race.reports[index]
+        .as_ref()
+        .expect("the winner filed a report");
+    assert_eq!(report.name, "telamalloc");
     let stats_winner = race.result.stats.winner.expect("stats carry the winner");
     assert_eq!(stats_winner.variant as usize, index);
-    assert_eq!(stats_winner.thread, info.thread);
+    assert_eq!(stats_winner.thread, 0, "one thread runs every arm");
 }
 
 #[test]
@@ -130,7 +131,7 @@ fn adaptive_schedule_is_deterministic_at_one_thread() {
 
     assert_eq!(a.adaptive, b.adaptive, "round-by-round schedule replays");
     assert_eq!(a.winner, b.winner);
-    assert_eq!(a.result.winner, b.result.winner);
+    assert_eq!(a.result.stats.winner, b.result.stats.winner);
     assert_eq!(a.result.outcome, b.result.outcome);
     assert_eq!(clock_free(&a.result.stats), clock_free(&b.result.stats));
 }
@@ -167,7 +168,7 @@ fn adaptive_race_solves_in_parallel() {
     // threads == 4 ⇒ round 0 seeds the predicted top-4, best first.
     assert_eq!(report.seeded.len(), 4);
     assert_eq!(report.seeded[0], 0);
-    assert!(race.result.winner.is_some());
+    assert!(race.result.stats.winner.is_some());
 }
 
 #[test]

@@ -1,10 +1,15 @@
 //! Portfolio race contracts: sequential determinism, parallel
 //! soundness, and "the race never loses to its own base variant".
 
+use std::time::Duration;
+
 use proptest::prelude::*;
-use tela_model::{Budget, Buffer, Problem, SolveOutcome, SolveStats};
+use tela_model::{Budget, Buffer, Problem, RaceWinner, SolveOutcome, SolveStats};
 use tela_workloads::sweep::{certified_configs, sweep_configs};
-use telamalloc::{solve, solve_portfolio, PortfolioVariant, TelaConfig, VariantOutcome};
+use telamalloc::{
+    default_variants, solve, solve_portfolio, PlacedDecision, PortfolioResult, PortfolioVariant,
+    TelaConfig, VariantOutcome, Verdict,
+};
 
 /// Everything in [`SolveStats`] except wall-clock time, which can never
 /// be bit-identical across runs.
@@ -173,4 +178,169 @@ proptest! {
             );
         }
     }
+}
+
+/// Every [`SolveStats`] field except wall-clock time.
+fn without_clock(stats: &SolveStats) -> SolveStats {
+    SolveStats {
+        elapsed: Duration::ZERO,
+        ..*stats
+    }
+}
+
+/// What the reference oracle reports of a race.
+struct OracleRace {
+    winner: Option<usize>,
+    outcome: SolveOutcome,
+    stats: SolveStats,
+    /// Per variant: name, outcome, clock-free stats.
+    reports: Vec<Option<(String, VariantOutcome, SolveStats)>>,
+    partial: Vec<PlacedDecision>,
+    first_conflict: Vec<tela_model::BufferId>,
+}
+
+/// Reference oracle: the sequential blind race as it stood before every
+/// race moved onto one round executor. One preflight for the whole race,
+/// then the variants in order until one is decisive; without a winner,
+/// the aggregate carries the longest committed prefix any variant
+/// reached.
+fn oracle_race(problem: &Problem, budget: &Budget, config: &TelaConfig) -> OracleRace {
+    let mut race = OracleRace {
+        winner: None,
+        outcome: SolveOutcome::GaveUp,
+        stats: SolveStats::default(),
+        reports: Vec::new(),
+        partial: Vec::new(),
+        first_conflict: Vec::new(),
+    };
+    match tela_audit::preflight(problem) {
+        Verdict::ProvablyInfeasible(_) => {
+            race.outcome = SolveOutcome::Infeasible;
+            return race;
+        }
+        Verdict::TriviallyFeasible(solution) => {
+            race.outcome = SolveOutcome::Solved(solution);
+            return race;
+        }
+        Verdict::NeedsSearch(_) => {}
+    }
+    let variants = default_variants(config);
+    race.reports = vec![None; variants.len()];
+    let mut best_partial: Option<(Vec<PlacedDecision>, Vec<tela_model::BufferId>)> = None;
+    for (index, variant) in variants.iter().enumerate() {
+        let mut worker = variant.config.clone();
+        worker.preflight_audit = false;
+        worker.threads = 1;
+        worker.variants = Vec::new();
+        let result = solve(problem, budget, &worker);
+        let decisive = matches!(
+            result.outcome,
+            SolveOutcome::Solved(_) | SolveOutcome::Infeasible
+        );
+        race.reports[index] = Some((
+            variant.name.clone(),
+            VariantOutcome::Finished(result.outcome.clone()),
+            without_clock(&result.stats),
+        ));
+        if decisive {
+            race.winner = Some(index);
+            race.outcome = result.outcome;
+            race.stats = without_clock(&result.stats);
+            race.stats.winner = Some(RaceWinner {
+                variant: index as u32,
+                thread: 0,
+            });
+            race.partial = result.partial;
+            race.first_conflict = result.first_conflict;
+            return race;
+        }
+        let longer = match &best_partial {
+            None => !result.partial.is_empty() || !result.first_conflict.is_empty(),
+            Some((prefix, _)) => result.partial.len() > prefix.len(),
+        };
+        if longer {
+            best_partial = Some((result.partial, result.first_conflict));
+        }
+    }
+    let mut budget_exceeded = false;
+    for (_, outcome, stats) in race.reports.iter().flatten() {
+        race.stats.absorb(stats);
+        budget_exceeded |= *outcome == VariantOutcome::Finished(SolveOutcome::BudgetExceeded);
+    }
+    if budget_exceeded {
+        race.outcome = SolveOutcome::BudgetExceeded;
+    }
+    (race.partial, race.first_conflict) = best_partial.unwrap_or_default();
+    race
+}
+
+fn assert_matches_oracle(race: &PortfolioResult, oracle: &OracleRace) {
+    assert_eq!(race.winner, oracle.winner);
+    assert_eq!(race.result.outcome, oracle.outcome);
+    assert_eq!(without_clock(&race.result.stats), oracle.stats);
+    assert_eq!(race.result.partial, oracle.partial);
+    assert_eq!(race.result.first_conflict, oracle.first_conflict);
+    assert_eq!(race.reports.len(), oracle.reports.len());
+    for (report, expected) in race.reports.iter().zip(&oracle.reports) {
+        let report = report
+            .as_ref()
+            .map(|r| (r.name.clone(), r.outcome.clone(), without_clock(&r.stats)));
+        assert_eq!(&report, expected);
+    }
+}
+
+/// Tight instances: capacity within two units of the peak contention,
+/// so variants disagree, give up, and run out of steps.
+fn tight_problem_strategy() -> impl Strategy<Value = Problem> {
+    (prop::collection::vec(buffer_strategy(), 4..14), 0u64..3).prop_map(|(buffers, slack)| {
+        let peak = Problem::new(buffers.clone(), 1 << 20)
+            .expect("sizes below capacity")
+            .max_contention();
+        Problem::new(buffers, (peak + slack).max(5)).expect("sizes below capacity")
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// At `threads = 1` the blind race is one full-budget round through
+    /// the shared executor; it must reproduce the old sequential race
+    /// exactly — winner, outcome, clock-free stats, per-variant
+    /// reports, and the best-effort prefix and conflict.
+    #[test]
+    fn single_thread_blind_race_matches_the_sequential_oracle(
+        problem in tight_problem_strategy(),
+        steps in 1u64..400,
+    ) {
+        let budget = Budget::steps(steps);
+        let config = TelaConfig::default();
+        let race = solve_portfolio(&problem, &budget, &config);
+        assert_matches_oracle(&race, &oracle_race(&problem, &budget, &config));
+    }
+}
+
+/// At `threads > 1` the blind race first sprints variant 0 alone; on
+/// figure1 that sprint is decisive, so no other variant ever starts.
+#[test]
+fn parallel_sprint_settles_figure1_alone() {
+    let config = TelaConfig {
+        threads: 4,
+        ..TelaConfig::default()
+    };
+    let race = solve_portfolio(
+        &tela_model::examples::figure1(),
+        &Budget::steps(100_000),
+        &config,
+    );
+    assert!(race.result.outcome.is_solved());
+    assert_eq!(race.winner, Some(0));
+    assert_eq!(
+        race.result.stats.winner,
+        Some(RaceWinner {
+            variant: 0,
+            thread: 0
+        })
+    );
+    assert!(race.reports[0].is_some());
+    assert!(race.reports[1..].iter().all(Option::is_none));
 }

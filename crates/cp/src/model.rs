@@ -62,8 +62,6 @@ pub enum ModelError {
         /// The memory capacity.
         capacity: u64,
     },
-    /// A buffer (after alignment rounding) has no feasible address at all.
-    Unplaceable(BufferId),
 }
 
 impl std::fmt::Display for ModelError {
@@ -76,9 +74,6 @@ impl std::fmt::Display for ModelError {
                 f,
                 "contention {contention} exceeds memory capacity {capacity}: trivially infeasible"
             ),
-            ModelError::Unplaceable(id) => {
-                write!(f, "buffer {id} has no feasible aligned address")
-            }
         }
     }
 }
@@ -91,10 +86,10 @@ impl CpModel {
     /// # Errors
     ///
     /// Returns [`ModelError::ContentionExceedsCapacity`] when the problem
-    /// is infeasible by the contention lower bound, and
-    /// [`ModelError::Unplaceable`] when some buffer admits no aligned
-    /// address within the capacity. Both conditions mean no search is
-    /// needed: the instance has no solution.
+    /// is infeasible by the contention lower bound: no search is needed,
+    /// the instance has no solution. Every buffer admits at least
+    /// address 0, which is always aligned, because `Problem::new` bounds
+    /// each size by the capacity.
     pub fn new(problem: &Problem) -> Result<Self, ModelError> {
         let contention = problem.max_contention();
         if contention > problem.capacity() {
@@ -102,17 +97,6 @@ impl CpModel {
                 contention,
                 capacity: problem.capacity(),
             });
-        }
-        for (id, b) in problem.iter() {
-            let limit = problem.capacity() - b.size();
-            if crate::domain::align_up(0, b.align()).is_none()
-                || crate::domain::align_down(limit, b.align()) > limit
-            {
-                return Err(ModelError::Unplaceable(id));
-            }
-            // Note: align_down(limit) <= limit always holds, and address 0
-            // is always aligned, so with the capacity check in
-            // `Problem::new` every buffer has at least address 0.
         }
         // Number the pairs lexicographically by scanning each row's
         // upper neighbours. Row `y` receives its lower neighbours `x` in

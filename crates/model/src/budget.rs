@@ -200,7 +200,7 @@ impl Default for Budget {
 
 /// Identity of the portfolio variant that settled a race, in the
 /// `Copy`-friendly form carried on [`SolveStats`] (the display name
-/// travels separately, on `telamalloc`'s richer result types).
+/// travels separately, on the race's per-variant reports).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RaceWinner {
     /// Index into the race's variant list.
@@ -241,7 +241,7 @@ pub struct SolveStats {
     pub panics: u64,
     /// The portfolio variant that settled the race producing these
     /// stats, if one did. Survives [`SolveStats::absorb`], so the
-    /// resilience ladder and the `Allocator` frontend report it too.
+    /// resilience ladder reports it too.
     pub winner: Option<RaceWinner>,
 }
 

@@ -2,7 +2,7 @@
 //! retry)*, mirroring the on-device flow of paper §2.3.
 
 use tela_model::{Budget, Problem, ResilienceStage, Solution, SolveOutcome, SolveStats};
-use telamalloc::{EscalationLadder, LadderConfig, SpillHook, Stage, TelaConfig};
+use telamalloc::{EscalationLadder, LadderConfig, SpillHook, TelaConfig};
 
 use crate::ir::Graph;
 use crate::memory::{lower, Lowered, LoweringConfig};
@@ -45,8 +45,8 @@ pub struct Compiled {
     pub solution: Solution,
     /// The operator schedule.
     pub schedule: Schedule,
-    /// Which allocator stage succeeded.
-    pub stage: Stage,
+    /// Which ladder stage succeeded.
+    pub stage: ResilienceStage,
     /// Aggregate allocation statistics across every attempt.
     pub stats: SolveStats,
     /// What had to be spilled to DRAM to fit.
@@ -126,7 +126,6 @@ impl Compiler {
         let config = TelaConfig {
             ladder: LadderConfig {
                 max_spill_rounds: s.max_spill_rounds,
-                ..LadderConfig::default()
             },
             ..TelaConfig::default()
         };
@@ -148,11 +147,7 @@ impl Compiler {
                 solution,
                 problem: result.problem,
                 schedule: sched,
-                stage: if result.stage == ResilienceStage::Heuristic {
-                    Stage::Heuristic
-                } else {
-                    Stage::TelaMalloc
-                },
+                stage: result.stage,
                 stats: result.stats,
                 spills,
             }),

@@ -6,7 +6,7 @@
 
 use tela_audit::{preflight, Verdict};
 use tela_model::{Budget, Buffer, Problem};
-use telamalloc::Allocator;
+use telamalloc::EscalationLadder;
 
 fn audit(name: &str, problem: &Problem) {
     println!(
@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The full allocator runs the same preflight, so infeasible inputs
     // fail in zero search steps and carry the certificate outward.
-    let result = Allocator::default().allocate(&aligned_squeeze, &Budget::steps(100_000));
+    let result = EscalationLadder::default().solve(&aligned_squeeze, &Budget::steps(100_000));
     let cert = result
         .certificate
         .expect("the pipeline surfaces the audit's witness");

@@ -11,16 +11,16 @@
 
 use std::time::{Duration, Instant};
 
-use tela_model::Budget;
+use tela_model::{Budget, ResilienceStage};
 use tela_workloads::{problem_with_slack, ModelKind};
-use telamalloc::{Allocator, Stage};
+use telamalloc::EscalationLadder;
 
 fn main() {
     println!(
         "simulated on-device compilation of {} models\n",
         ModelKind::PIXEL6.len()
     );
-    let allocator = Allocator::default();
+    let ladder = EscalationLadder::default();
     // A user-visible delay budget: a filter should be ready instantly.
     let user_patience = Duration::from_millis(500);
 
@@ -29,16 +29,17 @@ fn main() {
         let problem = problem_with_slack(kind.generate(0), 10);
         let budget = Budget::steps(2_000_000).with_timeout(user_patience);
         let t0 = Instant::now();
-        let result = allocator.allocate(&problem, &budget);
+        let result = ladder.solve(&problem, &budget);
         let elapsed = t0.elapsed();
         total += elapsed;
         println!(
             "{:18} {:>10.2?}  via {:10}  {}",
             kind.name(),
             elapsed,
-            match result.stage {
-                Stage::Heuristic => "heuristic",
-                Stage::TelaMalloc => "telamalloc",
+            if result.stage == ResilienceStage::Heuristic {
+                "heuristic"
+            } else {
+                "telamalloc"
             },
             if result.outcome.is_solved() {
                 "ready"

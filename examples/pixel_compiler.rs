@@ -4,9 +4,9 @@
 //!
 //! Run with: `cargo run --release --example pixel_compiler`
 
+use tela_model::ResilienceStage;
 use tela_pixel::ir::zoo;
 use tela_pixel::{Compiler, CompilerSettings};
-use telamalloc::Stage;
 
 fn main() {
     let models: [(&str, tela_pixel::ir::Graph); 3] = [
@@ -24,9 +24,10 @@ fn main() {
             };
             match Compiler::new(settings).compile(graph) {
                 Ok(c) => {
-                    let stage = match c.stage {
-                        Stage::Heuristic => "heuristic",
-                        Stage::TelaMalloc => "telamalloc",
+                    let stage = if c.stage == ResilienceStage::Heuristic {
+                        "heuristic"
+                    } else {
+                        "telamalloc"
                     };
                     println!(
                         "  {scratchpad_kib:>5} KiB: ok via {stage:10} ({} buffers, {} spills, {} KiB moved to DRAM)",

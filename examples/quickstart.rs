@@ -3,8 +3,8 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use tela_model::{Budget, Buffer, Problem};
-use telamalloc::{Allocator, Stage};
+use tela_model::{Budget, Buffer, Problem, ResilienceStage};
+use telamalloc::EscalationLadder;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Ten buffers with fixed live ranges sharing a 4-unit memory — the
@@ -22,14 +22,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The production pipeline: greedy heuristic first, TelaMalloc's
     // hybrid heuristic x CP-solver search when the heuristic fails.
-    let allocator = Allocator::default();
-    let result = allocator.allocate(&problem, &Budget::steps(100_000));
+    let ladder = EscalationLadder::default();
+    let result = ladder.solve(&problem, &Budget::steps(100_000));
     let solution = result.outcome.solution().ok_or("figure1 is solvable")?;
     println!(
         "solved by {} in {} steps ({} backtracks)",
-        match result.stage {
-            Stage::Heuristic => "the greedy heuristic",
-            Stage::TelaMalloc => "the TelaMalloc search",
+        if result.stage == ResilienceStage::Heuristic {
+            "the greedy heuristic"
+        } else {
+            "the TelaMalloc search"
         },
         result.stats.steps,
         result.stats.total_backtracks(),
@@ -53,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .buffer(Buffer::new(4, 12, 512))
         .buffer(Buffer::new(8, 16, 256).with_align(32))
         .build()?;
-    let result = allocator.allocate(&custom, &Budget::steps(10_000));
+    let result = ladder.solve(&custom, &Budget::steps(10_000));
     println!(
         "custom problem: {}",
         if result.outcome.is_solved() {

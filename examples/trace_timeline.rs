@@ -12,7 +12,7 @@
 
 use tela_model::{examples, Budget, Buffer, Problem};
 use tela_trace::{parse_jsonl, render_metrics, render_timeline, write_jsonl, Tracer};
-use telamalloc::{Allocator, EscalationLadder, SpillHook, TelaConfig};
+use telamalloc::{EscalationLadder, SpillHook, TelaConfig};
 
 /// Evicts the last buffer each round, like a compiler spilling one
 /// tensor to DRAM per retry.
@@ -42,8 +42,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Scenario 1: the tight-but-feasible Figure 1 instance through the
     // production pipeline (greedy fails, the search solves it).
+    let ladder = EscalationLadder::new(config);
     let figure1 = examples::figure1();
-    let result = Allocator::new(config.clone()).allocate(&figure1, &Budget::steps(200_000));
+    let result = ladder.solve(&figure1, &Budget::steps(200_000));
     println!(
         "figure1: {} in {} steps",
         result.outcome.label(),
@@ -60,7 +61,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         buffers,
         capacity: 8,
     };
-    let ladder = EscalationLadder::new(config);
     let result = ladder.solve_with_spill(overloaded, &Budget::steps(200_000), &mut hook);
     println!(
         "overloaded: {} after {} spill rounds\n",

@@ -3,7 +3,7 @@
 //! as documented on each.
 
 use tela_model::{parse_problem, Budget, Problem};
-use telamalloc::{Allocator, TelaConfig};
+use telamalloc::{EscalationLadder, TelaConfig};
 
 fn load(name: &str) -> Problem {
     let path = format!("{}/traces/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -48,7 +48,7 @@ fn all_traces_are_solvable_by_the_pipeline() {
         "certified_005.trace",
     ] {
         let problem = load(name);
-        let result = Allocator::default().allocate(&problem, &Budget::steps(500_000));
+        let result = EscalationLadder::default().solve(&problem, &Budget::steps(500_000));
         let solution = result
             .outcome
             .solution()

@@ -2,9 +2,9 @@
 //! shared example instances and the synthetic model workloads, with all
 //! solutions validated against the model crate's checker.
 
-use tela_model::{examples, Budget, SolveOutcome};
+use tela_model::{examples, Budget, ResilienceStage, SolveOutcome};
 use tela_workloads::{problem_with_slack, ModelKind};
-use telamalloc::{Allocator, Stage, TelaConfig};
+use telamalloc::{EscalationLadder, TelaConfig};
 
 #[test]
 fn every_allocator_validates_on_examples() {
@@ -55,15 +55,17 @@ fn telamalloc_solves_every_model_workload_at_paper_slack() {
 
 #[test]
 fn pipeline_falls_back_exactly_when_heuristic_fails() {
-    let allocator = Allocator::default();
+    let ladder = EscalationLadder::default();
     for kind in ModelKind::PIXEL6 {
         let problem = problem_with_slack(kind.generate(0), 10);
         let heuristic_solves = tela_heuristics::greedy::solve(&problem).solution.is_some();
-        let result = allocator.allocate(&problem, &Budget::steps(500_000));
-        match result.stage {
-            Stage::Heuristic => assert!(heuristic_solves, "{}", kind.name()),
-            Stage::TelaMalloc => assert!(!heuristic_solves, "{}", kind.name()),
-        }
+        let result = ladder.solve(&problem, &Budget::steps(500_000));
+        assert_eq!(
+            result.stage == ResilienceStage::Heuristic,
+            heuristic_solves,
+            "{}",
+            kind.name()
+        );
         assert!(result.outcome.is_solved(), "{}", kind.name());
     }
 }
