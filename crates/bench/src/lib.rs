@@ -59,17 +59,6 @@ pub fn median_time<R>(runs: usize, mut f: impl FnMut() -> R) -> (Duration, R) {
     (times[times.len() / 2], last.expect("runs > 0"))
 }
 
-/// Nearest-rank percentile over an **ascending-sorted** slice: the
-/// element at rank `len · p / 100`, clamped to the last element (so
-/// `percentile(&v, 100)` is the maximum). This is the sample-based
-/// counterpart of [`tela_trace::Histogram::quantile`]: exact on the
-/// recorded samples, where the histogram trades ≤2× bucket error for
-/// O(1) space. Panics on an empty slice.
-pub fn percentile<T: Copy>(sorted: &[T], p: usize) -> T {
-    assert!(!sorted.is_empty(), "percentile of an empty slice");
-    sorted[(sorted.len() * p / 100).min(sorted.len() - 1)]
-}
-
 /// Short status string for an outcome.
 pub fn outcome_tag(outcome: &SolveOutcome) -> &'static str {
     match outcome {
@@ -144,144 +133,30 @@ impl TextTable {
     }
 }
 
-/// How a trend metric is gated against a committed snapshot.
-///
-/// Shared by the `trend` and `throughput` binaries: each emits a flat
-/// `(key, value, gate)` metric list, renders it with
-/// [`render_trend_json`], and gates a fresh run against the committed
-/// artifact with [`compare_trend`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Gate {
-    /// Lower is better; fails beyond `+tolerance%` of the snapshot.
-    Band,
-    /// Higher is better; fails on any drop below the snapshot. For
-    /// deterministic counts (solved instances, schema invariants).
-    Floor,
-    /// Higher is better but noisy (rates); fails below
-    /// `committed / (1 + tolerance%)` of the snapshot.
-    RateBand,
-}
-
-/// Renders a flat, schema-stable JSON artifact: fixed preamble
-/// (`bench`, `schema_version`, then `header` integers in order), then
-/// one line per metric. Hand-rolled because the workspace is offline
-/// (no serde).
-pub fn render_trend_json(
-    bench: &str,
-    header: &[(&str, u64)],
-    metrics: &[(&str, f64, Gate)],
-) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!(
-        "  \"bench\": \"{bench}\",\n  \"schema_version\": 1,\n"
-    ));
-    for (key, value) in header {
-        s.push_str(&format!("  \"{key}\": {value},\n"));
-    }
-    for (i, (key, value, _)) in metrics.iter().enumerate() {
-        let sep = if i + 1 == metrics.len() { "" } else { "," };
-        if value.fract() == 0.0 {
-            s.push_str(&format!("  \"{key}\": {value:.0}{sep}\n"));
-        } else {
-            s.push_str(&format!("  \"{key}\": {value:.3}{sep}\n"));
-        }
-    }
-    s.push_str("}\n");
-    s
-}
-
-/// Pulls `"key": <number>` out of a flat snapshot (schema-stable keys
-/// are unique, so plain scanning stands in for a JSON parser).
-pub fn trend_json_number(snapshot: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = snapshot.find(&needle)? + needle.len();
-    let rest = snapshot[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Gates fresh `metrics` against a committed `snapshot`, returning one
-/// failure message per breached gate. Metrics the snapshot does not
-/// know yet (new in the current PR) are reported and skipped, so a
-/// fresh artifact can gate against the previous PR's snapshot.
-///
-/// `slack` is an *absolute* noise floor layered under the relative
-/// `tolerance`: a Band gate fails only above
-/// `max(committed × (1 + tol%), committed + slack)`, a RateBand only
-/// below `min(committed / (1 + tol%), committed − slack)`. Tiny
-/// committed values (sub-millisecond latencies) otherwise turn the
-/// relative band into a coin flip — scheduler jitter alone exceeds
-/// any percentage of them. Floors stay exact: they gate counts and
-/// invariants, not measurements.
-pub fn compare_trend(
-    metrics: &[(&str, f64, Gate)],
-    snapshot: &str,
-    tolerance: f64,
-    slack: f64,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    for &(key, value, gate) in metrics {
-        let Some(committed) = trend_json_number(snapshot, key) else {
-            println!("# gate skipped: snapshot has no \"{key}\" (new metric)");
-            continue;
-        };
-        match gate {
-            Gate::Floor => {
-                if value < committed {
-                    failures.push(format!("{key}: {value} fell below committed {committed}"));
-                }
-            }
-            Gate::Band => {
-                let limit = (committed * (1.0 + tolerance / 100.0)).max(committed + slack);
-                if value > limit {
-                    failures.push(format!(
-                        "{key}: {value:.1} exceeds committed {committed:.1} by more than {tolerance}% (limit {limit:.1})"
-                    ));
-                }
-            }
-            Gate::RateBand => {
-                let limit = (committed / (1.0 + tolerance / 100.0)).min(committed - slack);
-                if value < limit {
-                    failures.push(format!(
-                        "{key}: {value:.1} fell below committed {committed:.1} by more than {tolerance}% (limit {limit:.1})"
-                    ));
-                }
-            }
-        }
-    }
-    failures
-}
-
-/// Parses `--flag value` style float arguments from `std::env::args`.
-pub fn arg_f64(flag: &str, default: f64) -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Parses `--flag value` style integer arguments from `std::env::args`.
+/// Reads the integer value of `--flag` from `std::env::args`, or
+/// `default` when the flag is absent. A flag given without a value, or
+/// with one that does not parse, ends the process with status 2 and
+/// names the flag: a typo such as `--steps 5e5` must not silently run a
+/// different configuration than the one asked for.
 pub fn arg_usize(flag: &str, default: usize) -> usize {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    usize_flag(&args, flag, default).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
 }
 
-/// Parses `--flag value` style string arguments from `std::env::args`.
-pub fn arg_string(flag: &str, default: &str) -> String {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| default.to_string())
+/// The pure half of [`arg_usize`]: looks `flag` up in `args`.
+fn usize_flag(args: &[String], flag: &str, default: usize) -> Result<usize, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(default);
+    };
+    let value = args
+        .get(i + 1)
+        .ok_or_else(|| format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("{flag} expects a non-negative integer, got {value:?}"))
 }
 
 #[cfg(test)]
@@ -314,25 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn percentile_is_nearest_rank_clamped() {
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&v, 0), 1);
-        assert_eq!(percentile(&v, 50), 51);
-        assert_eq!(percentile(&v, 99), 100);
-        assert_eq!(percentile(&v, 100), 100);
-        // Small slices clamp to the last element instead of indexing out.
-        let two = [Duration::from_millis(1), Duration::from_millis(9)];
-        assert_eq!(percentile(&two, 99), Duration::from_millis(9));
-        assert_eq!(percentile(&[7u64], 50), 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn percentile_rejects_empty_input() {
-        percentile::<u64>(&[], 50);
-    }
-
-    #[test]
     fn duration_formatting() {
         assert_eq!(fmt_duration(Duration::from_micros(500)), "500.0us");
         assert_eq!(fmt_duration(Duration::from_millis(12)), "12.00ms");
@@ -347,75 +203,22 @@ mod tests {
     }
 
     #[test]
-    fn trend_json_round_trips_numbers() {
-        let metrics: Vec<(&str, f64, Gate)> = vec![
-            ("count", 14.0, Gate::Floor),
-            ("wall_ms", 12.345, Gate::Band),
-            ("rps", 800.5, Gate::RateBand),
-        ];
-        let json = render_trend_json("test", &[("threads", 4)], &metrics);
-        assert!(json.contains("\"bench\": \"test\""));
-        assert!(json.contains("\"schema_version\": 1"));
-        assert_eq!(trend_json_number(&json, "threads"), Some(4.0));
-        assert_eq!(trend_json_number(&json, "count"), Some(14.0));
-        assert_eq!(trend_json_number(&json, "wall_ms"), Some(12.345));
-        assert_eq!(trend_json_number(&json, "rps"), Some(800.5));
-        assert_eq!(trend_json_number(&json, "missing"), None);
-    }
-
-    #[test]
-    fn compare_trend_applies_each_gate_kind() {
-        let snapshot = render_trend_json(
-            "t",
-            &[],
-            &[
-                ("count", 10.0, Gate::Floor),
-                ("ms", 100.0, Gate::Band),
-                ("rps", 100.0, Gate::RateBand),
-            ],
+    fn usize_flag_rejects_missing_and_unparsable_values() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(usize_flag(&args(&["bin"]), "--steps", 7), Ok(7));
+        assert_eq!(
+            usize_flag(&args(&["bin", "--steps", "500000"]), "--steps", 7),
+            Ok(500_000)
         );
-        // All within tolerance.
-        let ok = compare_trend(
-            &[
-                ("count", 10.0, Gate::Floor),
-                ("ms", 140.0, Gate::Band),
-                ("rps", 80.0, Gate::RateBand),
-            ],
-            &snapshot,
-            50.0,
-            0.0,
-        );
-        assert!(ok.is_empty(), "{ok:?}");
-        // Floor: any drop fails. Band: +tol% ceiling. RateBand: /(1+tol) floor.
-        let bad = compare_trend(
-            &[
-                ("count", 9.0, Gate::Floor),
-                ("ms", 151.0, Gate::Band),
-                ("rps", 66.0, Gate::RateBand),
-            ],
-            &snapshot,
-            50.0,
-            0.0,
-        );
-        assert_eq!(bad.len(), 3, "{bad:?}");
-        // Unknown metrics are skipped, not failed.
-        let skipped = compare_trend(&[("new_metric", 1.0, Gate::Floor)], &snapshot, 50.0, 0.0);
-        assert!(skipped.is_empty());
-    }
-
-    #[test]
-    fn compare_trend_slack_absorbs_sub_unit_noise() {
-        let snapshot = render_trend_json(
-            "t",
-            &[],
-            &[("tiny_ms", 0.4, Gate::Band), ("count", 10.0, Gate::Floor)],
-        );
-        // 0.4 → 0.9 is +125%, but within the 1.0 absolute slack.
-        let noisy = &[("tiny_ms", 0.9, Gate::Band), ("count", 10.0, Gate::Floor)];
-        assert!(compare_trend(noisy, &snapshot, 50.0, 1.0).is_empty());
-        assert_eq!(compare_trend(noisy, &snapshot, 50.0, 0.0).len(), 1);
-        // Slack never loosens Floors.
-        let dropped = &[("count", 9.0, Gate::Floor)];
-        assert_eq!(compare_trend(dropped, &snapshot, 50.0, 1.0).len(), 1);
+        for bad in [
+            &["bin", "--steps", "5e5"][..],
+            &["bin", "--steps", "1_000"],
+            &["bin", "--steps"],
+        ] {
+            let err = usize_flag(&args(bad), "--steps", 7).unwrap_err();
+            assert!(err.contains("--steps"), "{err}");
+        }
+        // A flag followed by another flag has no value of its own.
+        assert!(usize_flag(&args(&["bin", "--steps", "--inputs", "4"]), "--steps", 7).is_err());
     }
 }
