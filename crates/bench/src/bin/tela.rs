@@ -18,6 +18,7 @@
 //! ```
 
 use std::io::Read;
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 use tela_bench::outcome_tag;
@@ -44,11 +45,14 @@ fn main() {
 
 type CliResult = Result<(), Box<dyn std::error::Error>>;
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// The value of `--name` in `args`, or `None` when the flag is absent.
+/// A flag without a value, or with one that does not parse as a `T`,
+/// ends the process with status 2 and names the flag and the value.
+fn flag<T: FromStr>(args: &[String], name: &str) -> Option<T> {
+    tela_bench::flag_value(args, name).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
 }
 
 fn model_by_name(name: &str) -> Option<ModelKind> {
@@ -66,17 +70,11 @@ fn slug(s: &str) -> String {
 }
 
 fn cmd_gen(args: &[String]) -> CliResult {
-    let slack: u32 = flag(args, "--slack")
-        .map(|s| s.parse())
-        .transpose()?
-        .unwrap_or(10);
-    let seed: u64 = flag(args, "--seed")
-        .map(|s| s.parse())
-        .transpose()?
-        .unwrap_or(0);
+    let slack: u32 = flag(args, "--slack").unwrap_or(10);
+    let seed: u64 = flag(args, "--seed").unwrap_or(0);
     let problem = if let Some(cert) = flag(args, "--certified") {
-        tela_workloads::sweep::certified_solvable(cert.parse()?)
-    } else if let Some(name) = flag(args, "--model") {
+        tela_workloads::sweep::certified_solvable(cert)
+    } else if let Some(name) = flag::<String>(args, "--model") {
         let kind = model_by_name(&name).ok_or_else(|| {
             format!(
                 "unknown model {name:?}; expected one of {}",
@@ -96,7 +94,7 @@ fn cmd_gen(args: &[String]) -> CliResult {
 }
 
 fn read_trace(args: &[String]) -> Result<Problem, Box<dyn std::error::Error>> {
-    let text = match flag(args, "--trace") {
+    let text = match flag::<String>(args, "--trace") {
         Some(path) => std::fs::read_to_string(path)?,
         None => {
             let mut buf = String::new();
@@ -108,16 +106,10 @@ fn read_trace(args: &[String]) -> Result<Problem, Box<dyn std::error::Error>> {
 }
 
 fn cmd_solve(args: &[String]) -> CliResult {
-    let problem = read_trace(args)?;
     let alloc = flag(args, "--alloc").unwrap_or_else(|| "pipeline".to_string());
-    let steps: u64 = flag(args, "--steps")
-        .map(|s| s.parse())
-        .transpose()?
-        .unwrap_or(500_000);
-    let timeout_ms: u64 = flag(args, "--timeout-ms")
-        .map(|s| s.parse())
-        .transpose()?
-        .unwrap_or(30_000);
+    let steps: u64 = flag(args, "--steps").unwrap_or(500_000);
+    let timeout_ms: u64 = flag(args, "--timeout-ms").unwrap_or(30_000);
+    let problem = read_trace(args)?;
     let budget = Budget::steps(steps).with_timeout(Duration::from_millis(timeout_ms));
 
     let t0 = Instant::now();

@@ -8,6 +8,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 use tela_model::{Budget, Problem, SolveOutcome};
@@ -148,15 +149,23 @@ pub fn arg_usize(flag: &str, default: usize) -> usize {
 
 /// The pure half of [`arg_usize`]: looks `flag` up in `args`.
 fn usize_flag(args: &[String], flag: &str, default: usize) -> Result<usize, String> {
+    Ok(flag_value(args, flag)?.unwrap_or(default))
+}
+
+/// Looks `flag` up in `args` and parses the argument after it:
+/// `Ok(None)` when the flag is absent, and an error naming the flag and
+/// the value when the value is missing or does not parse as a `T`.
+pub fn flag_value<T: FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
     let Some(i) = args.iter().position(|a| a == flag) else {
-        return Ok(default);
+        return Ok(None);
     };
     let value = args
         .get(i + 1)
         .ok_or_else(|| format!("{flag} needs a value"))?;
-    value
-        .parse()
-        .map_err(|_| format!("{flag} expects a non-negative integer, got {value:?}"))
+    value.parse().map(Some).map_err(|_| {
+        let expected = std::any::type_name::<T>();
+        format!("{flag} expects a {expected}, got {value:?}")
+    })
 }
 
 #[cfg(test)]
@@ -200,6 +209,24 @@ mod tests {
     fn row_arity_checked() {
         let mut t = TextTable::new(["a", "b"]);
         t.row(["only-one"]);
+    }
+
+    #[test]
+    fn flag_value_names_the_flag_and_the_value() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(flag_value::<u64>(&args(&["gen"]), "--seed"), Ok(None));
+        assert_eq!(
+            flag_value::<u32>(&args(&["gen", "--slack", "15"]), "--slack"),
+            Ok(Some(15))
+        );
+        assert_eq!(
+            flag_value::<u64>(&args(&["solve", "--steps", "5e5"]), "--steps"),
+            Err("--steps expects a u64, got \"5e5\"".to_string())
+        );
+        assert_eq!(
+            flag_value::<u32>(&args(&["gen", "--slack"]), "--slack"),
+            Err("--slack needs a value".to_string())
+        );
     }
 
     #[test]

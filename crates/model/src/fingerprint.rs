@@ -153,21 +153,19 @@ impl CanonicalForm {
     }
 
     /// The 128-bit hash of this form (two independently-seeded 64-bit
-    /// FNV-1a passes over the canonical byte stream).
+    /// FNV-1a hashes of the canonical byte stream, fed in one pass).
     pub fn fingerprint(&self) -> Fingerprint {
-        let mut lo = Fnv::new(0xcbf2_9ce4_8422_2325);
-        let mut hi = Fnv::new(0x6c62_272e_07bb_0142);
-        for h in [&mut lo, &mut hi] {
-            h.write_u64(self.capacity);
-            h.write_u64(self.slots.len() as u64);
-            for s in &self.slots {
-                h.write_u64(u64::from(s.start));
-                h.write_u64(u64::from(s.end));
-                h.write_u64(s.size);
-                h.write_u64(s.align);
-            }
+        let mut h = Fnv2(0xcbf2_9ce4_8422_2325, 0x6c62_272e_07bb_0142);
+        h.write_u64(self.capacity);
+        h.write_u64(self.slots.len() as u64);
+        for s in &self.slots {
+            h.write_u64(u64::from(s.start));
+            h.write_u64(u64::from(s.end));
+            h.write_u64(s.size);
+            h.write_u64(s.align);
         }
-        Fingerprint((u128::from(hi.finish()) << 64) | u128::from(lo.finish()))
+        let Fnv2(lo, hi) = h;
+        Fingerprint((u128::from(hi) << 64) | u128::from(lo))
     }
 
     /// Extracts a solution's addresses in canonical slot order, the
@@ -207,23 +205,17 @@ pub fn fingerprint(problem: &Problem) -> Fingerprint {
     CanonicalForm::of(problem).fingerprint()
 }
 
-/// 64-bit FNV-1a with a caller-chosen offset basis.
-struct Fnv(u64);
+/// Two 64-bit FNV-1a hashers with caller-chosen offset bases, fed the
+/// same byte stream in one pass.
+struct Fnv2(u64, u64);
 
-impl Fnv {
-    fn new(basis: u64) -> Self {
-        Fnv(basis)
-    }
-
+impl Fnv2 {
     fn write_u64(&mut self, value: u64) {
+        const PRIME: u64 = 0x0000_0100_0000_01B3;
         for byte in value.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(PRIME);
+            self.1 = (self.1 ^ u64::from(byte)).wrapping_mul(PRIME);
         }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -309,6 +301,30 @@ mod tests {
         assert!(c.is_empty());
         assert_eq!(c.len(), 0);
         assert_eq!(c.translate(&[]).unwrap().len(), 0);
+    }
+
+    #[test]
+    fn fingerprint_values_are_pinned() {
+        // Cache keys must not drift between releases: these are the
+        // values of the original two-pass hash.
+        let plain = problem(&[(0, 4, 16, 1), (2, 6, 32, 1), (5, 9, 16, 1)], 64);
+        let aligned = problem(&[(3, 10, 48, 16), (0, 5, 24, 8), (4, 7, 64, 32)], 256);
+        let duplicated = problem(
+            &[(1, 5, 16, 1), (1, 5, 16, 1), (2, 8, 32, 4), (2, 8, 32, 4)],
+            128,
+        );
+        assert_eq!(
+            fingerprint(&plain).as_u128(),
+            0xcd50_280a_424a_938c_0b10_0fc8_1718_d32b
+        );
+        assert_eq!(
+            fingerprint(&aligned).as_u128(),
+            0x6402_5923_f455_5581_e09f_68f1_d25c_8ad6
+        );
+        assert_eq!(
+            fingerprint(&duplicated).as_u128(),
+            0xb67d_b3f7_8c70_a646_d455_9e04_6b1e_5ee1
+        );
     }
 
     #[test]

@@ -124,6 +124,13 @@ fn committed_trace_matches_a_fresh_generation() {
 }
 
 #[test]
+fn committed_trace_round_trips_through_the_reader() {
+    let committed = read_golden("golden_ladder.jsonl");
+    let trace = parse_jsonl(&committed).expect("golden trace parses");
+    assert_eq!(body(&write_jsonl(&trace)), body(&committed));
+}
+
+#[test]
 fn rollup_report_matches_golden() {
     let committed = read_golden("golden_ladder.jsonl");
     let trace = parse_jsonl(&committed).expect("golden trace parses");

@@ -267,18 +267,20 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 }
             }
             Some(_) => {
-                // Consume one UTF-8 scalar, however many bytes long.
+                // Copy the whole run up to the next quote or backslash in
+                // one slice: both are ASCII, so the run ends on a char
+                // boundary, and the scan stays linear in the frame size.
                 let rest = &bytes[*pos..];
-                let s = std::str::from_utf8(rest).map_err(|_| JsonError {
+                let len = rest
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(rest.len());
+                let run = std::str::from_utf8(&rest[..len]).map_err(|_| JsonError {
                     at: *pos,
                     reason: "invalid UTF-8",
                 })?;
-                let ch = s.chars().next().ok_or(JsonError {
-                    at: *pos,
-                    reason: "unterminated string",
-                })?;
-                out.push(ch);
-                *pos += ch.len_utf8();
+                out.push_str(run);
+                *pos += len;
             }
         }
     }
@@ -384,17 +386,28 @@ fn write_value(value: &Value, out: &mut String) {
 
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+    // Every byte that needs an escape is ASCII, so the runs between
+    // them split `s` on char boundaries and copy as whole slices.
+    let mut run_start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let control;
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            c if c < 0x20 => {
+                control = format!("\\u{c:04x}");
+                &control
+            }
+            _ => continue,
+        };
+        out.push_str(&s[run_start..i]);
+        out.push_str(escape);
+        run_start = i + 1;
     }
+    out.push_str(&s[run_start..]);
     out.push('"');
 }
 

@@ -81,17 +81,35 @@ pub enum Payload {
 
 /// Parses an inbound payload, dispatching on the presence of `"cmd"`.
 pub fn parse_payload(payload: &str) -> Result<Payload, ProtocolError> {
-    let value = json::parse(payload).map_err(ProtocolError::Json)?;
+    parse_addressed(payload).map_err(|(_, e)| e)
+}
+
+/// [`parse_payload`] for the server: a payload that parses as JSON but
+/// fails the shape checks also yields the id it carried (0 when it has
+/// none), taken from the same parse, so even malformed requests get an
+/// addressed terminal response.
+pub fn parse_addressed(payload: &str) -> Result<Payload, (u64, ProtocolError)> {
+    let value = json::parse(payload).map_err(|e| (0, ProtocolError::Json(e)))?;
+    payload_of(&value).map_err(|e| (id_of(&value), e))
+}
+
+fn payload_of(value: &Value) -> Result<Payload, ProtocolError> {
     let Some(cmd) = value.get("cmd") else {
-        return parse_request(payload).map(Payload::Solve);
+        return request_of(value).map(Payload::Solve);
     };
-    let id = value.get("id").and_then(Value::as_u64).unwrap_or(0);
     let kind = match cmd.as_str() {
         Some("stats") => CommandKind::Stats,
         Some("trace") => CommandKind::Trace,
         _ => return Err(ProtocolError::Shape("unknown 'cmd'")),
     };
-    Ok(Payload::Command(Command { id, kind }))
+    Ok(Payload::Command(Command {
+        id: id_of(value),
+        kind,
+    }))
+}
+
+fn id_of(value: &Value) -> u64 {
+    value.get("id").and_then(Value::as_u64).unwrap_or(0)
 }
 
 /// Terminal status of one request.
@@ -219,7 +237,10 @@ impl std::error::Error for ProtocolError {}
 /// extract a best-effort id via [`request_id_of`] to address the
 /// rejection.
 pub fn parse_request(payload: &str) -> Result<Request, ProtocolError> {
-    let value = json::parse(payload).map_err(ProtocolError::Json)?;
+    request_of(&json::parse(payload).map_err(ProtocolError::Json)?)
+}
+
+fn request_of(value: &Value) -> Result<Request, ProtocolError> {
     let id = value
         .get("id")
         .and_then(Value::as_u64)
@@ -256,10 +277,7 @@ pub fn parse_request(payload: &str) -> Result<Request, ProtocolError> {
 /// Best-effort id extraction from a payload that failed shape checks,
 /// so even malformed requests get an addressed terminal response.
 pub fn request_id_of(payload: &str) -> u64 {
-    json::parse(payload)
-        .ok()
-        .and_then(|v| v.get("id").and_then(Value::as_u64))
-        .unwrap_or(0)
+    json::parse(payload).map_or(0, |v| id_of(&v))
 }
 
 /// Renders a request payload (used by the client and the bench driver).
@@ -358,8 +376,12 @@ pub fn write_frame(stream: &mut impl Write, payload: &str) -> io::Result<()> {
     let bytes = payload.as_bytes();
     let len = u32::try_from(bytes.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "payload too large"))?;
-    stream.write_all(&len.to_be_bytes())?;
-    stream.write_all(bytes)?;
+    // One write per frame: on a TCP_NODELAY socket a separate write of
+    // the 4-byte prefix goes out as its own segment.
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(bytes);
+    stream.write_all(&frame)?;
     stream.flush()
 }
 

@@ -42,8 +42,8 @@ use crate::admission::{Admission, AdmissionController, TenantConfig};
 use crate::cache::SolutionCache;
 use crate::json::{self, Value};
 use crate::protocol::{
-    parse_payload, request_id_of, write_frame, Command, CommandKind, Frame, FrameReader, Payload,
-    Response, Status,
+    parse_addressed, write_frame, Command, CommandKind, Frame, FrameReader, Payload, Response,
+    Status,
 };
 use crate::queue::{Pop, Push, WorkQueue};
 use std::collections::BTreeMap;
@@ -509,11 +509,10 @@ impl Server {
     /// pipeline and answered inline; everything else gets a `server.request`
     /// span whose every event carries the request id.
     fn serve_request(&self, stream: &mut TcpStream, payload: &str) {
-        let request = match parse_payload(payload) {
+        let request = match parse_addressed(payload) {
             Ok(Payload::Command(command)) => return self.serve_command(stream, &command),
             Ok(Payload::Solve(request)) => request,
-            Err(e) => {
-                let id = request_id_of(payload);
+            Err((id, e)) => {
                 let tracer = self.tracer().with_field("request", id);
                 let span = tracer.begin("server", "request", vec![]);
                 self.reply(

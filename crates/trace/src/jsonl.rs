@@ -208,6 +208,12 @@ impl Json {
     }
 }
 
+/// Maximum container nesting depth. The parser recurses per `[`/`{`,
+/// so without a bound a line of a few hundred KB of `[` overflows the
+/// reader's stack and aborts the process. Trace lines nest three levels
+/// deep (event → fields → value).
+const MAX_DEPTH: usize = 64;
+
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -245,10 +251,13 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Json, String> {
+    fn parse_value(&mut self, depth: usize) -> Result<Json, String> {
+        if depth > MAX_DEPTH {
+            return Err(format!("nesting too deep at byte {}", self.pos));
+        }
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.parse_object(depth),
+            Some(b'[') => self.parse_array(depth),
             Some(b'"') => self.parse_string().map(Json::Str),
             Some(b't') => self.parse_lit("true", Json::Bool(true)),
             Some(b'f') => self.parse_lit("false", Json::Bool(false)),
@@ -272,7 +281,7 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn parse_object(&mut self) -> Result<Json, String> {
+    fn parse_object(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'{')?;
         let mut pairs = Vec::new();
         if self.peek() == Some(b'}') {
@@ -282,7 +291,7 @@ impl<'a> Cursor<'a> {
         loop {
             let key = self.parse_string()?;
             self.expect(b':')?;
-            let value = self.parse_value()?;
+            let value = self.parse_value(depth + 1)?;
             pairs.push((key, value));
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -300,7 +309,7 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn parse_array(&mut self) -> Result<Json, String> {
+    fn parse_array(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         if self.peek() == Some(b']') {
@@ -308,7 +317,7 @@ impl<'a> Cursor<'a> {
             return Ok(Json::Arr(items));
         }
         loop {
-            items.push(self.parse_value()?);
+            items.push(self.parse_value(depth + 1)?);
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
@@ -360,13 +369,17 @@ impl<'a> Cursor<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input came from &str,
-                    // so boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8")?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or backslash
+                    // in one slice (both are ASCII, so the run ends on a
+                    // char boundary): the scan stays linear in the line.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len]).map_err(|_| "invalid utf-8")?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -533,7 +546,7 @@ pub fn parse_jsonl(input: &str) -> Result<Trace, ParseError> {
         }
         let mut cursor = Cursor::new(raw);
         let obj = cursor
-            .parse_value()
+            .parse_value(0)
             .map_err(|message| ParseError { line, message })?;
         if !saw_header && obj.get("trace").is_some() {
             saw_header = true;
@@ -646,6 +659,24 @@ mod tests {
         assert!(hist_line.contains("\"p50\":3"), "{hist_line}");
         assert!(hist_line.contains("\"p90\":17"), "{hist_line}");
         assert!(hist_line.contains("\"p99\":17"), "{hist_line}");
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let bomb = "[".repeat(200_000);
+        let err = parse_jsonl(&bomb).unwrap_err();
+        assert_eq!(err.line, 1);
+        assert!(err.message.contains("nesting too deep"), "{err}");
+        let mixed = format!("{{\"seq\":{}", "{\"k\":[".repeat(50_000));
+        assert!(parse_jsonl(&mixed)
+            .unwrap_err()
+            .message
+            .contains("nesting too deep"));
+        // At the limit the line parses (and is then rejected for its
+        // shape, not its depth).
+        let ok = format!("{}0{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        let err = parse_jsonl(&ok).unwrap_err();
+        assert!(!err.message.contains("nesting"), "{err}");
     }
 
     #[test]
