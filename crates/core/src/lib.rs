@@ -42,6 +42,7 @@
 
 mod adaptive;
 mod backtrack;
+mod candidates;
 mod config;
 mod portfolio;
 mod resilience;

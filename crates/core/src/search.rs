@@ -21,7 +21,11 @@ use crate::backtrack::{
     BacktrackChoice, BacktrackContext, BacktrackPolicy, BacktrackTarget, ConflictGuidedPolicy,
     FixedStepPolicy, NullObserver, PlacedDecision, SearchObserver, StepContext, TargetFeatures,
 };
+use crate::candidates::CandidateIndex;
 use crate::config::TelaConfig;
+
+#[cfg(test)]
+mod queue_oracle;
 
 /// Result of one TelaMalloc run.
 #[derive(Debug, Clone)]
@@ -355,14 +359,9 @@ impl Frame {
 /// one owned value still produced per minor backtrack).
 #[derive(Default)]
 struct EngineScratch {
-    /// Dedup marker per buffer for queue building.
-    seen: Vec<bool>,
-    /// Flat candidate pool for the uncapped fallback queue.
+    /// A phase's unplaced blocks, ranked by position when the primary
+    /// strategy is lowest-position.
     pool: Vec<BufferId>,
-    /// Per-phase candidate pools (a single pool when phases are off).
-    pools: Vec<Vec<BufferId>>,
-    /// Pool visit order, context phase first; indexes into `pools`.
-    pool_order: Vec<usize>,
     /// Placement level per buffer for backtrack-target construction.
     level_of: Vec<usize>,
     /// Committed-path buffer for backtrack contexts.
@@ -375,19 +374,12 @@ struct Engine<'a> {
     problem: &'a Problem,
     config: &'a TelaConfig,
     solver: CpSolver,
-    phases: Option<PhasePartition>,
     buffer_contention: Vec<u64>,
     culprit_counts: Vec<u64>,
-    /// Per-selection-strategy rank arrays (`rank[id]` = position in the
-    /// strategy's total order, best first). Lifetime/size/area keys are
-    /// problem-static, so these are computed once and queue builds
-    /// reduce to rank lookups; `None` for the dynamic
-    /// [`SelectionStrategy::LowestPosition`].
-    selection_ranks: Vec<Option<Vec<u32>>>,
-    /// All buffers pre-sorted by the primary strategy's static order.
-    /// When present, pools are filled by walking this order, which
-    /// leaves them sorted without any per-level sort.
-    primary_order: Option<Vec<BufferId>>,
+    /// The unplaced buffers per contention phase, in every selection
+    /// strategy's order, kept up to date as placements commit and
+    /// backtracks undo them.
+    index: CandidateIndex,
     frames: Vec<Frame>,
     current: Frame,
     global_backtracks: u64,
@@ -396,6 +388,9 @@ struct Engine<'a> {
     /// best-effort diagnostics.
     first_conflict: Option<Vec<BufferId>>,
     scratch: EngineScratch,
+    /// The former full-scan queue builder, checking every queue.
+    #[cfg(test)]
+    oracle: Option<queue_oracle::Oracle>,
 }
 
 impl<'a> Engine<'a> {
@@ -406,18 +401,25 @@ impl<'a> Engine<'a> {
         policy: &mut dyn BacktrackPolicy,
         observer: &mut dyn SearchObserver,
     ) -> TelaResult {
-        let Ok(mut solver) = CpSolver::new(problem) else {
+        match Engine::new(problem, config) {
+            Some(mut engine) => engine.solve(budget, policy, observer),
             // The model rejects exactly the instances whose contention
             // exceeds capacity, which the contention bound certifies.
-            return TelaResult {
+            None => TelaResult {
                 outcome: SolveOutcome::Infeasible,
                 stats: SolveStats::default(),
                 decisions: Vec::new(),
                 partial: Vec::new(),
                 first_conflict: Vec::new(),
                 certificate: tela_audit::passes::contention_bound(problem),
-            };
-        };
+            },
+        }
+    }
+
+    /// Sets up the CP model and the candidate index; `None` when the
+    /// model rejects the instance.
+    fn new(problem: &'a Problem, config: &'a TelaConfig) -> Option<Self> {
+        let mut solver = CpSolver::new(problem).ok()?;
         solver.set_tracer(config.tracer.clone());
         let phases = config
             .contention_grouping
@@ -428,79 +430,47 @@ impl<'a> Engine<'a> {
             .iter()
             .map(|b| contention.max_over(b.start(), b.end()))
             .collect();
-        let seed = config.perturbation_seed;
-        let selection_ranks: Vec<Option<Vec<u32>>> = config
-            .selection
-            .iter()
-            .map(|&strategy| {
-                if strategy == SelectionStrategy::LowestPosition {
-                    return None;
-                }
-                let mut ids: Vec<u32> = (0..problem.len() as u32).collect();
-                if seed == 0 {
-                    ids.sort_unstable_by_key(|&i| {
-                        (
-                            std::cmp::Reverse(strategy.key(problem, BufferId::new(i as usize))),
-                            i,
-                        )
-                    });
-                } else {
-                    // Perturbed restart: jitter each key by a hash of
-                    // `(seed, id)` and break remaining ties by a seeded
-                    // token, so the ordering genuinely differs per seed
-                    // (see `tela_heuristics::perturb`).
-                    ids.sort_unstable_by_key(|&i| {
-                        (
-                            std::cmp::Reverse(tela_heuristics::perturb::jitter_key(
-                                strategy.key(problem, BufferId::new(i as usize)),
-                                u64::from(i),
-                                seed,
-                            )),
-                            tela_heuristics::perturb::tiebreak(u64::from(i), seed),
-                            i,
-                        )
-                    });
-                }
-                let mut rank = vec![0u32; problem.len()];
-                for (pos, &i) in ids.iter().enumerate() {
-                    rank[i as usize] = pos as u32;
-                }
-                Some(rank)
-            })
-            .collect();
-        let primary_order = selection_ranks.first().and_then(|ranks| {
-            let rank = ranks.as_ref()?;
-            let mut ids: Vec<BufferId> = (0..problem.len()).map(BufferId::new).collect();
-            ids.sort_unstable_by_key(|id| rank[id.index()]);
-            Some(ids)
-        });
-        let mut engine = Engine {
+        let index = CandidateIndex::new(
+            problem,
+            phases.as_ref(),
+            &config.selection,
+            config.perturbation_seed,
+        );
+        Some(Engine {
             problem,
             config,
             solver,
-            phases,
             buffer_contention,
             culprit_counts: vec![0; problem.len()],
-            selection_ranks,
-            primary_order,
+            index,
             frames: Vec::new(),
             current: Frame::new(None, 0),
             global_backtracks: 0,
             stats: SolveStats::default(),
             first_conflict: None,
             scratch: EngineScratch::default(),
-        };
-        let mut result = engine.search(budget, policy, observer);
-        result.stats.propagations = engine.solver.propagations();
+            #[cfg(test)]
+            oracle: None,
+        })
+    }
+
+    fn solve(
+        &mut self,
+        budget: &Budget,
+        policy: &mut dyn BacktrackPolicy,
+        observer: &mut dyn SearchObserver,
+    ) -> TelaResult {
+        let mut result = self.search(budget, policy, observer);
+        result.stats.propagations = self.solver.propagations();
         // Solver counters are sampled once per run, never incremented
         // per propagation: the hot loop stays metric-free.
-        if config.tracer.enabled() {
-            config
+        if self.config.tracer.enabled() {
+            self.config
                 .tracer
-                .count("cp.propagations", engine.solver.propagations());
-            config
+                .count("cp.propagations", self.solver.propagations());
+            self.config
                 .tracer
-                .count("cp.min_pos.queries", engine.solver.min_pos_queries());
+                .count("cp.min_pos.queries", self.solver.min_pos_queries());
         }
         result
     }
@@ -538,12 +508,15 @@ impl<'a> Engine<'a> {
                     subtree_backtracks: self.global_backtracks - self.current.opened_at_backtracks,
                     total_backtracks: self.global_backtracks,
                 };
-                if policy.expand_candidates(&step_ctx) {
+                let expand = policy.expand_candidates(&step_ctx);
+                if expand {
                     self.fill_full_queue()
                 } else {
                     self.build_queue()
                 }
                 self.current.queue_built = true;
+                #[cfg(test)]
+                self.check_queue(queue_oracle::Kind::new(expand));
             }
             match self.current.queue.pop_front() {
                 Some(block) => self.try_candidate(block),
@@ -600,7 +573,8 @@ impl<'a> Engine<'a> {
         match result {
             Ok(pos) => {
                 self.current.placed = Some((block, pos));
-                let phase = self.phases.as_ref().map(|p| p.phase_of(block));
+                self.index.remove(block);
+                let phase = self.index.phase_of(block);
                 let next = self.recycled_frame(phase, self.global_backtracks);
                 self.frames.push(std::mem::replace(&mut self.current, next));
             }
@@ -657,132 +631,128 @@ impl<'a> Engine<'a> {
     }
 
     /// The uncapped fallback queue: every unplaced block, ordered by the
-    /// primary strategy (used by the §8.3 expansion hook and the §6.5
-    /// stay-and-try-all fallback). Fills `self.current.queue` in place.
+    /// primary strategy (used by the §8.3 expansion hook). Fills
+    /// `self.current.queue` in place.
     fn fill_full_queue(&mut self) {
-        let mut pool = std::mem::take(&mut self.scratch.pool);
-        pool.clear();
-        self.for_each_unfixed(|id| pool.push(id));
-        self.order_pool(&mut pool);
         let mut out = std::mem::take(&mut self.current.queue);
         out.clear();
-        out.extend(pool.iter().copied());
+        self.index.for_each_live(|id| out.push_back(id));
+        self.order_globally(out.make_contiguous());
         self.current.queue = out;
-        self.scratch.pool = pool;
     }
 
-    /// Visits every unplaced buffer — in the primary strategy's static
-    /// order when one exists (so collected pools come out pre-sorted),
-    /// in id order otherwise.
-    fn for_each_unfixed(&self, mut f: impl FnMut(BufferId)) {
-        match &self.primary_order {
-            Some(order) => {
-                for &id in order {
-                    if !self.solver.is_fixed(id) {
-                        f(id);
-                    }
-                }
-            }
-            None => self.solver.unfixed().for_each(f),
+    /// Puts blocks gathered phase by phase from the index into the
+    /// primary strategy's order over all phases.
+    fn order_globally(&self, pool: &mut [BufferId]) {
+        if self.config.selection.first() == Some(&SelectionStrategy::LowestPosition) {
+            pool.sort_unstable_by_key(|&id| self.position_key(id));
+        } else if let Some(rank) = self.index.primary_rank() {
+            pool.sort_unstable_by_key(|id| rank[id.index()]);
+        } else if self.index.grouped() {
+            // No selection strategy at all: id order.
+            pool.sort_unstable();
         }
+        // Otherwise there is one phase, already in the primary order.
     }
 
     /// Builds the candidate queue for the current decision point:
     /// strategy picks from the context phase first, then from the other
-    /// phases in priority order (§5.1, §5.3), capped per §5.4. Fills
-    /// `self.current.queue` in place; all intermediate storage lives in
-    /// the engine scratch, so steady-state queue builds never allocate.
+    /// phases in order (§5.1, §5.3), capped per §5.4. Reads the
+    /// candidate index, so the work is bounded by the cap and the phases
+    /// visited, not by the number of buffers. Fills `self.current.queue`
+    /// in place; the only other storage is the engine scratch, so
+    /// steady-state queue builds never allocate.
+    // tela-lint: hot-path
     fn build_queue(&mut self) {
         let cap = self.config.max_candidates_per_level.max(1);
         let mut out = std::mem::take(&mut self.current.queue);
         out.clear();
-        let mut seen = std::mem::take(&mut self.scratch.seen);
-        seen.clear();
-        seen.resize(self.problem.len(), false);
-        let mut pools = std::mem::take(&mut self.scratch.pools);
-        let mut order = std::mem::take(&mut self.scratch.pool_order);
-        self.fill_pools(&mut pools, &mut order);
-        let push = |out: &mut VecDeque<BufferId>, seen: &mut Vec<bool>, id: BufferId| {
-            if !seen[id.index()] && out.len() < cap {
-                seen[id.index()] = true;
+        let mut pool = std::mem::take(&mut self.scratch.pool);
+        let context = if self.index.grouped() {
+            self.current
+                .context_phase
+                .or_else(|| self.frames.last().and_then(|f| f.context_phase))
+        } else {
+            None
+        };
+        if let Some(ctx) = context.filter(|&p| self.index.phase_is_live(p)) {
+            self.queue_phase(ctx, cap, &mut out, &mut pool);
+        }
+        for phase in self.index.live_phases() {
+            if out.len() >= cap {
+                break;
+            }
+            if Some(phase) != context {
+                self.queue_phase(phase, cap, &mut out, &mut pool);
+            }
+        }
+        debug_assert_eq!(
+            self.index.remaining(),
+            self.problem.len() - self.solver.fixed_count(),
+            "the candidate index disagrees with the solver"
+        );
+        debug_assert!(out.iter().all(|&id| !self.solver.is_fixed(id)));
+        self.current.queue = out;
+        self.scratch.pool = pool;
+    }
+
+    /// Queues one phase's candidates: each strategy's pick, then the
+    /// phase's remaining blocks in the primary order, up to `cap`.
+    // tela-lint: hot-path
+    fn queue_phase(
+        &self,
+        phase: usize,
+        cap: usize,
+        out: &mut VecDeque<BufferId>,
+        pool: &mut Vec<BufferId>,
+    ) {
+        let push = |out: &mut VecDeque<BufferId>, id: BufferId| {
+            if out.len() < cap && !out.contains(&id) {
                 out.push_back(id);
             }
         };
-
-        for &pi in &order {
-            // `fill_pools` only emits in-bounds pool indices.
-            let Some(pool) = pools.get_mut(pi) else {
-                continue;
+        for (si, strategy) in self.config.selection.iter().enumerate() {
+            let pick = if *strategy == SelectionStrategy::LowestPosition {
+                self.index
+                    .live_for(si, phase)
+                    .min_by_key(|&id| self.position_key(id))
+            } else {
+                self.index.live_for(si, phase).next()
             };
-            if pool.is_empty() || out.len() >= cap {
-                continue;
-            }
-            for (si, strategy) in self.config.selection.iter().enumerate() {
-                if let Some(pick) = self.pick(si, *strategy, pool) {
-                    push(&mut out, &mut seen, pick);
-                }
-            }
-            self.order_pool(pool);
-            for &queued in pool.iter() {
-                push(&mut out, &mut seen, queued);
+            if let Some(id) = pick {
+                push(out, id);
             }
         }
-        self.current.queue = out;
-        self.scratch.seen = seen;
-        self.scratch.pools = pools;
-        self.scratch.pool_order = order;
-    }
-
-    /// Groups the unplaced blocks into phase pools and records the visit
-    /// order (context phase first). Pool storage is reused across calls.
-    fn fill_pools(&self, pools: &mut Vec<Vec<BufferId>>, order: &mut Vec<usize>) {
-        order.clear();
-        let Some(phases) = &self.phases else {
-            if pools.is_empty() {
-                pools.push(Vec::new());
-            }
-            pools[0].clear();
-            let pool = &mut pools[0];
-            self.for_each_unfixed(|id| pool.push(id));
-            order.push(0);
-            return;
-        };
-        if pools.len() < phases.len() {
-            pools.resize_with(phases.len(), Vec::new);
-        }
-        for pool in pools.iter_mut() {
+        if self.config.selection.first() == Some(&SelectionStrategy::LowestPosition) {
+            // No static order: rank the phase by position. At most `cap`
+            // pool entries are read (each is queued or already queued),
+            // so only the `cap` lowest need sorting.
             pool.clear();
-        }
-        self.for_each_unfixed(|id| {
-            // `phase_of` is a total map over the problem's buffers.
-            if let Some(pool) = pools.get_mut(phases.phase_of(id)) {
-                pool.push(id);
+            pool.extend(self.index.live_primary(phase));
+            if cap < pool.len() {
+                pool.select_nth_unstable_by_key(cap, |&id| self.position_key(id));
+                pool.truncate(cap);
             }
-        });
-        order.extend(0..phases.len());
-        let context = self
-            .current
-            .context_phase
-            .or_else(|| self.frames.last().and_then(|f| f.context_phase));
-        if let Some(ctx) = context {
-            order.retain(|&p| p != ctx);
-            order.insert(0, ctx);
+            pool.sort_unstable_by_key(|&id| self.position_key(id));
+            for &id in pool.iter() {
+                push(out, id);
+            }
+        } else {
+            for id in self.index.live_primary(phase) {
+                if out.len() >= cap {
+                    break;
+                }
+                push(out, id);
+            }
         }
     }
 
-    fn pick(&self, si: usize, strategy: SelectionStrategy, pool: &[BufferId]) -> Option<BufferId> {
-        if let Some(Some(rank)) = self.selection_ranks.get(si) {
-            // Static strategy: the precomputed rank is its exact
-            // (key-descending, id-ascending) order.
-            return pool.iter().copied().min_by_key(|id| rank[id.index()]);
-        }
-        match strategy {
-            SelectionStrategy::LowestPosition => pool
-                .iter()
-                .copied()
-                .min_by_key(|&id| (self.solver.domain(id).lo(), self.position_tiebreak(id))),
-            _ => strategy.pick(self.problem, pool.iter().copied()),
-        }
+    /// The lowest-position order: domain lower bound, then the
+    /// [`position_tiebreak`](Engine::position_tiebreak). The tiebreak is
+    /// a bijection of the id, so the key is unique per buffer.
+    // tela-lint: hot-path
+    fn position_key(&self, id: BufferId) -> (Address, u64) {
+        (self.solver.domain(id).lo(), self.position_tiebreak(id))
     }
 
     /// Tiebreak among equal lowest positions: plain id order normally, a
@@ -796,37 +766,6 @@ impl<'a> Engine<'a> {
             id.index() as u64
         } else {
             tela_heuristics::perturb::tiebreak(id.index() as u64, seed)
-        }
-    }
-
-    /// Orders the remainder of a pool by the primary strategy's key.
-    ///
-    /// The keys carry the buffer index as a tiebreak, so they are unique
-    /// per element and the unstable sorts below order exactly like the
-    /// stable ones — without the stable sort's temporary allocation.
-    /// Pools filled through [`for_each_unfixed`](Engine::for_each_unfixed)
-    /// under a static primary strategy arrive pre-sorted, so this only
-    /// runs for the dynamic lowest-position order.
-    fn order_pool(&self, pool: &mut [BufferId]) {
-        if self.primary_order.is_some() {
-            return;
-        }
-        match self.config.selection.first() {
-            Some(SelectionStrategy::LowestPosition) => {
-                pool.sort_unstable_by_key(|&id| {
-                    (self.solver.domain(id).lo(), self.position_tiebreak(id))
-                });
-            }
-            Some(strategy) => {
-                let strategy = *strategy;
-                pool.sort_unstable_by_key(|&id| {
-                    (
-                        std::cmp::Reverse(strategy.key(self.problem, id)),
-                        id.index(),
-                    )
-                });
-            }
-            None => pool.sort_unstable(),
         }
     }
 
@@ -895,18 +834,25 @@ impl<'a> Engine<'a> {
         match choice {
             BacktrackChoice::StayAndTryAll => {
                 // §6.5 fallback: retry every unplaced block not yet tried
-                // here; if nothing is left, fall back to one step up.
+                // here, in id order; if nothing is left, fall back to one
+                // step up.
                 let tried = &self.current.tried;
-                let fresh: VecDeque<BufferId> = self
-                    .solver
-                    .unfixed()
-                    .filter(|id| !tried.contains(id))
-                    .collect();
+                let mut fresh = std::mem::take(&mut self.current.queue);
+                fresh.clear();
+                self.index.for_each_live(|id| {
+                    if !tried.contains(&id) {
+                        fresh.push_back(id);
+                    }
+                });
+                fresh.make_contiguous().sort_unstable();
                 if fresh.is_empty() {
+                    self.current.queue = fresh;
                     let level = self.frames.len().saturating_sub(1);
                     self.jump_to(level);
                 } else {
                     self.current.queue = fresh;
+                    #[cfg(test)]
+                    self.check_queue(queue_oracle::Kind::StayAndTryAll);
                 }
             }
             BacktrackChoice::Target(level) => {
@@ -943,10 +889,16 @@ impl<'a> Engine<'a> {
             .next()
             .expect("jump target is an existing decision level");
         for mut f in drained {
+            if let Some((block, _)) = f.placed {
+                self.index.insert(block);
+            }
             f.last_conflict = None;
             retired.push(f);
         }
         self.scratch.frames = retired;
+        if let Some((block, _)) = target.placed {
+            self.index.insert(block);
+        }
         self.solver.pop_to_level(level);
         target.placed = None;
         target.backtracks_to += 1;
@@ -1022,7 +974,7 @@ impl<'a> Engine<'a> {
             .frames
             .last()
             .and_then(|f| f.placed)
-            .and_then(|(b, _)| self.phases.as_ref().map(|p| p.phase_of(b)));
+            .and_then(|(b, _)| self.index.phase_of(b));
         self.scratch.level_of = level_of;
         levels
             .into_iter()
@@ -1031,8 +983,8 @@ impl<'a> Engine<'a> {
                 // committed, so `placed` is always `Some`.
                 let (block, _) = self.frames[level].placed.expect("committed frame");
                 let b = self.problem.buffer(block);
-                let same_region = match (from_phase, &self.phases) {
-                    (Some(fp), Some(p)) => (p.phase_of(block) == fp) as u8 as f64,
+                let same_region = match (from_phase, self.index.phase_of(block)) {
+                    (Some(fp), Some(p)) => (p == fp) as u8 as f64,
                     _ => 0.0,
                 };
                 BacktrackTarget {

@@ -350,6 +350,21 @@ mod tests {
     }
 
     #[test]
+    fn test_only_struct_field_is_exempt() {
+        let src = "\
+struct S {
+    a: u32,
+    #[cfg(test)]
+    b: Option<u32>,
+}
+fn f(s: S) -> u32 { s.b.unwrap() }
+";
+        let d = check("crates/cp/src/x.rs", src);
+        assert_eq!(d.len(), 1);
+        assert_eq!(d[0].line, 6);
+    }
+
+    #[test]
     fn indexing_flagged_but_types_are_not() {
         let d = check(
             "crates/cp/src/x.rs",

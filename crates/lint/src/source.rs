@@ -284,7 +284,9 @@ fn attr_is_testish(tokens: &[Token], text: &str, lo: usize, hi: usize) -> bool {
 
 /// Span of the item following an attribute: from the attribute's first
 /// token to the first top-level `;` or the close of the first top-level
-/// brace block. Leading extra attributes are consumed into the item.
+/// brace block. Leading extra attributes are consumed into the item. A
+/// `}` closing an enclosing block (the attribute sat on a struct field
+/// or a trailing expression) ends the item just before it.
 fn item_end(
     tokens: &[Token],
     mut k: usize,
@@ -320,6 +322,9 @@ fn item_end(
         } else if is_punct(j, '{') {
             brace_depth += 1;
         } else if is_punct(j, '}') {
+            if brace_depth == 0 {
+                return Some(tok.start);
+            }
             brace_depth -= 1;
             if brace_depth == 0 {
                 return Some(tok.end);

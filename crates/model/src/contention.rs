@@ -126,18 +126,28 @@ const THRESHOLD_PERCENTS: [u32; 9] = [100, 90, 80, 70, 60, 50, 40, 30, 20];
 
 impl PhasePartition {
     /// Runs the Figure 9 phase-identification algorithm on `problem`.
+    ///
+    /// Per threshold, one sweep over the horizon collects the closed
+    /// high-contention ranges; each still-unassigned buffer then joins
+    /// the earliest range it overlaps, found by binary search over the
+    /// ranges' ends. That is `O(horizon + n log r)` per threshold for `r`
+    /// ranges, where testing every buffer against every range was
+    /// `O(n · r)`.
     pub fn compute(problem: &Problem) -> Self {
         let contention = problem.contention();
         let horizon = problem.horizon();
         let mut phases: Vec<Phase> = Vec::new();
-        let mut phase_of: Vec<Option<u32>> = vec![None; problem.len()];
-        let mut assigned = 0usize;
+        let mut phase_of = vec![0u32; problem.len()];
+        // Unassigned buffers, kept in id order.
+        let mut unassigned: Vec<BufferId> = problem.iter().map(|(id, _)| id).collect();
+        let mut ranges: Vec<(TimeStep, TimeStep)> = Vec::new();
 
         for percent in THRESHOLD_PERCENTS {
-            if assigned == problem.len() {
+            if unassigned.is_empty() {
                 break;
             }
             let threshold = threshold_for(problem.capacity(), percent);
+            ranges.clear();
             let mut range_start: Option<TimeStep> = None;
             // Iterate one step past the horizon (contention 0) so that a
             // trailing high-contention range is closed.
@@ -147,53 +157,55 @@ impl PhasePartition {
                     (true, None) => range_start = Some(t),
                     (false, Some(start)) => {
                         range_start = None;
-                        let mut blocks = Vec::new();
-                        for (id, buffer) in problem.iter() {
-                            if phase_of[id.index()].is_none()
-                                && buffer.start() < t
-                                && buffer.end() > start
-                            {
-                                phase_of[id.index()] = Some(phases.len() as u32);
-                                blocks.push(id);
-                                assigned += 1;
-                            }
-                        }
-                        // A range with no fresh blocks still exists in time
-                        // but adds nothing to the search; skip it.
-                        if !blocks.is_empty() {
-                            phases.push(Phase {
-                                threshold_percent: percent,
-                                start,
-                                end: t,
-                                blocks,
-                            });
-                        }
+                        ranges.push((start, t));
                     }
                     _ => {}
                 }
             }
+            // The ranges are disjoint and in time order, so the first one
+            // ending after a buffer starts is the only candidate for the
+            // earliest overlap.
+            let mut blocks: Vec<Vec<BufferId>> = vec![Vec::new(); ranges.len()];
+            unassigned.retain(|&id| {
+                let buffer = problem.buffer(id);
+                let r = ranges.partition_point(|&(_, end)| end <= buffer.start());
+                match ranges.get(r) {
+                    Some(&(start, _)) if start < buffer.end() => {
+                        blocks[r].push(id);
+                        false
+                    }
+                    _ => true,
+                }
+            });
+            for (&(start, end), blocks) in ranges.iter().zip(blocks) {
+                // A range with no fresh blocks still exists in time but
+                // adds nothing to the search; skip it.
+                if blocks.is_empty() {
+                    continue;
+                }
+                for id in &blocks {
+                    phase_of[id.index()] = phases.len() as u32;
+                }
+                phases.push(Phase {
+                    threshold_percent: percent,
+                    start,
+                    end,
+                    blocks,
+                });
+            }
         }
 
-        if assigned < problem.len() {
-            let mut blocks = Vec::new();
-            for (id, _) in problem.iter() {
-                if phase_of[id.index()].is_none() {
-                    phase_of[id.index()] = Some(phases.len() as u32);
-                    blocks.push(id);
-                }
+        if !unassigned.is_empty() {
+            for id in &unassigned {
+                phase_of[id.index()] = phases.len() as u32;
             }
             phases.push(Phase {
                 threshold_percent: 0,
                 start: 0,
                 end: horizon,
-                blocks,
+                blocks: unassigned,
             });
         }
-
-        let phase_of = phase_of
-            .into_iter()
-            .map(|p| p.expect("all blocks assigned"))
-            .collect();
         PhasePartition { phases, phase_of }
     }
 
@@ -233,6 +245,99 @@ fn threshold_for(capacity: Size, percent: u32) -> Size {
 mod tests {
     use super::*;
     use crate::Buffer;
+    use proptest::prelude::*;
+
+    /// The Figure 9 algorithm as first written: every closed range scans
+    /// all buffers. Kept as the oracle for [`PhasePartition::compute`].
+    fn compute_by_full_scan(problem: &Problem) -> PhasePartition {
+        let contention = problem.contention();
+        let horizon = problem.horizon();
+        let mut phases: Vec<Phase> = Vec::new();
+        let mut phase_of: Vec<Option<u32>> = vec![None; problem.len()];
+        let mut assigned = 0usize;
+
+        for percent in THRESHOLD_PERCENTS {
+            if assigned == problem.len() {
+                break;
+            }
+            let threshold = threshold_for(problem.capacity(), percent);
+            let mut range_start: Option<TimeStep> = None;
+            for t in 0..=horizon {
+                let high = t < horizon && contention.at(t) >= threshold;
+                match (high, range_start) {
+                    (true, None) => range_start = Some(t),
+                    (false, Some(start)) => {
+                        range_start = None;
+                        let mut blocks = Vec::new();
+                        for (id, buffer) in problem.iter() {
+                            if phase_of[id.index()].is_none()
+                                && buffer.start() < t
+                                && buffer.end() > start
+                            {
+                                phase_of[id.index()] = Some(phases.len() as u32);
+                                blocks.push(id);
+                                assigned += 1;
+                            }
+                        }
+                        if !blocks.is_empty() {
+                            phases.push(Phase {
+                                threshold_percent: percent,
+                                start,
+                                end: t,
+                                blocks,
+                            });
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+
+        if assigned < problem.len() {
+            let mut blocks = Vec::new();
+            for (id, _) in problem.iter() {
+                if phase_of[id.index()].is_none() {
+                    phase_of[id.index()] = Some(phases.len() as u32);
+                    blocks.push(id);
+                }
+            }
+            phases.push(Phase {
+                threshold_percent: 0,
+                start: 0,
+                end: horizon,
+                blocks,
+            });
+        }
+
+        let phase_of = phase_of
+            .into_iter()
+            .map(|p| p.expect("all blocks assigned"))
+            .collect();
+        PhasePartition { phases, phase_of }
+    }
+
+    fn problem_strategy() -> impl Strategy<Value = Problem> {
+        let buffer = (0u32..60, 1u32..16, 1u64..40)
+            .prop_map(|(start, len, size)| Buffer::new(start, start + len, size));
+        (prop::collection::vec(buffer, 0..80), 0u64..150).prop_map(|(buffers, extra)| {
+            let probe = Problem::new(buffers, u64::MAX).expect("unbounded problem is valid");
+            // From exactly the peak contention up to 2.5x it, so every
+            // threshold band gets ranges.
+            let capacity = (probe.max_contention() * (100 + extra) / 100).max(1);
+            probe
+                .with_capacity(capacity)
+                .expect("capacity covers contention")
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn compute_matches_the_full_scan(problem in problem_strategy()) {
+            prop_assert_eq!(PhasePartition::compute(&problem), compute_by_full_scan(&problem));
+        }
+    }
 
     #[test]
     fn profile_of_empty_problem() {

@@ -233,13 +233,6 @@ impl std::fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
-/// Parses a request payload. On shape errors the caller can still
-/// extract a best-effort id via [`request_id_of`] to address the
-/// rejection.
-pub fn parse_request(payload: &str) -> Result<Request, ProtocolError> {
-    request_of(&json::parse(payload).map_err(ProtocolError::Json)?)
-}
-
 fn request_of(value: &Value) -> Result<Request, ProtocolError> {
     let id = value
         .get("id")
@@ -272,12 +265,6 @@ fn request_of(value: &Value) -> Result<Request, ProtocolError> {
         deadline_ms: optional_u64("deadline_ms")?,
         trace: value.get("trace").and_then(Value::as_bool).unwrap_or(false),
     })
-}
-
-/// Best-effort id extraction from a payload that failed shape checks,
-/// so even malformed requests get an addressed terminal response.
-pub fn request_id_of(payload: &str) -> u64 {
-    json::parse(payload).map_or(0, |v| id_of(&v))
 }
 
 /// Renders a request payload (used by the client and the bench driver).
@@ -479,12 +466,18 @@ mod tests {
             deadline_ms: None,
             trace: false,
         };
-        assert_eq!(parse_request(&render_request(&request)).unwrap(), request);
+        assert_eq!(
+            parse_addressed(&render_request(&request)).unwrap(),
+            Payload::Solve(request.clone())
+        );
         let traced = Request {
             trace: true,
             ..request
         };
-        assert_eq!(parse_request(&render_request(&traced)).unwrap(), traced);
+        assert_eq!(
+            parse_addressed(&render_request(&traced)).unwrap(),
+            Payload::Solve(traced)
+        );
     }
 
     #[test]
@@ -540,11 +533,13 @@ mod tests {
 
     #[test]
     fn malformed_requests_still_yield_an_id() {
-        assert_eq!(request_id_of(r#"{"id":5,"tenant":17}"#), 5);
-        assert_eq!(request_id_of("not json"), 0);
         assert!(matches!(
-            parse_request(r#"{"id":5,"tenant":17}"#),
-            Err(ProtocolError::Shape(_))
+            parse_addressed(r#"{"id":5,"tenant":17}"#),
+            Err((5, ProtocolError::Shape(_)))
+        ));
+        assert!(matches!(
+            parse_addressed("not json"),
+            Err((0, ProtocolError::Json(_)))
         ));
     }
 
