@@ -12,7 +12,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::{self, Json};
+use tela_trace::json::{self, Value};
+
 use crate::rules::Diagnostic;
 
 /// Baseline contents: `rule → file → violation count`.
@@ -91,47 +92,55 @@ impl Baseline {
         out
     }
 
-    /// Serializes to the committed JSON format.
+    /// Serializes to the committed JSON format: the codec's two-space
+    /// pretty layout, keys sorted, and a trailing newline.
     pub fn render(&self) -> String {
-        let mut rules = BTreeMap::new();
-        for (rule, files) in &self.rules {
-            let mut obj = BTreeMap::new();
-            for (file, count) in files {
-                obj.insert(file.clone(), Json::Num(*count));
-            }
-            rules.insert(rule.clone(), Json::Obj(obj));
-        }
-        let mut top = BTreeMap::new();
-        top.insert("version".to_string(), Json::Num(1));
-        top.insert(
-            "generated-by".to_string(),
-            Json::Str("tela-lint --update-baseline".to_string()),
-        );
-        top.insert("rules".to_string(), Json::Obj(rules));
-        Json::Obj(top).render()
+        let rules = self
+            .rules
+            .iter()
+            .map(|(rule, files)| {
+                let counts = files
+                    .iter()
+                    .map(|(file, &count)| (file.clone(), Value::U64(count)))
+                    .collect();
+                (rule.clone(), Value::Object(counts))
+            })
+            .collect();
+        let top = Value::Object(vec![
+            (
+                "generated-by".to_string(),
+                Value::Str("tela-lint --update-baseline".to_string()),
+            ),
+            ("rules".to_string(), Value::Object(rules)),
+            ("version".to_string(), Value::U64(1)),
+        ]);
+        format!("{}\n", json::render_pretty(&top))
     }
 
-    /// Parses the committed JSON format.
+    /// Parses the committed JSON format. A repeated key reads as its
+    /// last value.
     pub fn parse(text: &str) -> Result<Baseline, String> {
-        let doc = json::parse(text)?;
-        let top = doc.as_obj().ok_or("baseline root must be an object")?;
-        match top.get("version").and_then(Json::as_num) {
+        let doc = json::parse(text).map_err(|e| e.to_string())?;
+        if doc.as_object().is_none() {
+            return Err("baseline root must be an object".to_string());
+        }
+        match doc.get("version").and_then(Value::as_u64) {
             Some(1) => {}
             other => return Err(format!("unsupported baseline version {other:?}")),
         }
         let mut rules = BTreeMap::new();
-        let table = top
+        let table = doc
             .get("rules")
-            .and_then(Json::as_obj)
+            .and_then(Value::as_object)
             .ok_or("baseline is missing the \"rules\" object")?;
         for (rule, files) in table {
             let files = files
-                .as_obj()
+                .as_object()
                 .ok_or_else(|| format!("rule {rule} must map files to counts"))?;
             let mut counts = BTreeMap::new();
             for (file, count) in files {
                 let n = count
-                    .as_num()
+                    .as_u64()
                     .ok_or_else(|| format!("count for {rule}/{file} must be a number"))?;
                 counts.insert(file.clone(), n);
             }
@@ -165,6 +174,28 @@ mod tests {
         assert_eq!(base.total(), 3);
         let parsed = Baseline::parse(&base.render()).unwrap();
         assert_eq!(parsed, base);
+    }
+
+    #[test]
+    fn malformed_baselines_are_errors() {
+        for (text, message) in [
+            ("{,}", "invalid JSON at byte 1: expected a string"),
+            ("{\"version\": 1} x", "trailing content after document"),
+            ("[]", "baseline root must be an object"),
+            ("{\"version\": 2}", "unsupported baseline version Some(2)"),
+            ("{\"version\": 1}", "missing the \"rules\" object"),
+            (
+                "{\"version\": 1, \"rules\": {\"r\": []}}",
+                "rule r must map",
+            ),
+            (
+                "{\"version\": 1, \"rules\": {\"r\": {\"f\": 1.0}}}",
+                "count for r/f must be a number",
+            ),
+        ] {
+            let err = Baseline::parse(text).unwrap_err();
+            assert!(err.contains(message), "{text}: {err}");
+        }
     }
 
     #[test]

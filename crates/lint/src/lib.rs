@@ -25,7 +25,6 @@
 pub mod baseline;
 pub mod engine;
 pub mod features;
-pub mod json;
 pub mod lexer;
 pub mod manifest;
 pub mod rules;

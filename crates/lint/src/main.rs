@@ -1,5 +1,6 @@
-//! CLI for `tela-lint`. Exit codes: 0 clean, 1 violations or stale
-//! baseline, 2 usage/setup error.
+//! CLI for `tela-lint`. Exit codes: 0 clean, 1 violations, stale or
+//! missing baseline, 2 usage/setup error (including a malformed
+//! baseline).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -178,7 +179,7 @@ fn check(args: &[String]) -> ExitCode {
                      --update-baseline",
                     baseline_path.display()
                 );
-                return ExitCode::FAILURE;
+                return ExitCode::from(2);
             }
         },
         Err(_) => {

@@ -1,13 +1,13 @@
 //! A minimal blocking client, used by the integration tests, the chaos
 //! harness, and the throughput bench.
 
-use crate::json::{self, Value};
 use crate::protocol::{
     parse_response, render_request, write_frame, Frame, FrameReader, Request, Response,
 };
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
+use tela_trace::json::{self, Value};
 
 /// A blocking connection to a tela-server.
 #[derive(Debug)]
@@ -75,7 +75,7 @@ impl Client {
     }
 
     fn command(&mut self, cmd: &str) -> io::Result<Value> {
-        write_frame(&mut self.stream, &format!("{{\"cmd\":\"{cmd}\",\"id\":1}}"))?;
+        write_frame(&mut self.stream, &command_frame(cmd))?;
         match self.reader.poll(&mut self.stream)? {
             Frame::Payload(payload) => json::parse(&payload)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
@@ -88,5 +88,24 @@ impl Client {
                 "reply timeout elapsed",
             )),
         }
+    }
+}
+
+/// The payload of an introspection command.
+fn command_frame(cmd: &str) -> String {
+    json::render(&Value::Object(vec![
+        ("cmd".to_string(), Value::Str(cmd.to_string())),
+        ("id".to_string(), Value::U64(1)),
+    ]))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn command_frames_are_pinned() {
+        assert_eq!(command_frame("stats"), r#"{"cmd":"stats","id":1}"#);
+        assert_eq!(command_frame("trace"), r#"{"cmd":"trace","id":1}"#);
     }
 }

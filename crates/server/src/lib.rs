@@ -36,7 +36,6 @@
 pub mod admission;
 pub mod cache;
 pub mod client;
-pub mod json;
 pub mod protocol;
 pub mod queue;
 mod server;

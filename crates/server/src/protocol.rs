@@ -12,10 +12,9 @@
 //! or `timed_out`. There is no "try again later" non-answer; rejection
 //! with a retry hint *is* the backpressure signal.
 
-use crate::json::{self, JsonError, Value};
-use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use tela_model::Address;
+use tela_trace::json::{self, JsonError, Value};
 
 /// Upper bound on a frame payload (1 MiB) — far above any real problem
 /// (the canonical suite's biggest request is a few KB), and small enough
@@ -267,48 +266,49 @@ fn request_of(value: &Value) -> Result<Request, ProtocolError> {
     })
 }
 
+/// An object of the fields that are present, in the order given. The
+/// renderers below list keys sorted, the order the wire has always
+/// carried (pinned by `rendered_bytes_are_pinned`).
+fn object(fields: Vec<(&str, Option<Value>)>) -> Value {
+    Value::Object(
+        fields
+            .into_iter()
+            .filter_map(|(key, value)| Some((key.to_string(), value?)))
+            .collect(),
+    )
+}
+
 /// Renders a request payload (used by the client and the bench driver).
 pub fn render_request(request: &Request) -> String {
-    let mut map = BTreeMap::new();
-    map.insert("id".to_string(), Value::U64(request.id));
-    map.insert("tenant".to_string(), Value::Str(request.tenant.clone()));
-    map.insert("problem".to_string(), Value::Str(request.problem.clone()));
-    if let Some(steps) = request.max_steps {
-        map.insert("max_steps".to_string(), Value::U64(steps));
-    }
-    if let Some(ms) = request.deadline_ms {
-        map.insert("deadline_ms".to_string(), Value::U64(ms));
-    }
-    if request.trace {
-        map.insert("trace".to_string(), Value::Bool(true));
-    }
-    json::render(&Value::Object(map))
+    json::render(&object(vec![
+        ("deadline_ms", request.deadline_ms.map(Value::U64)),
+        ("id", Some(Value::U64(request.id))),
+        ("max_steps", request.max_steps.map(Value::U64)),
+        ("problem", Some(Value::Str(request.problem.clone()))),
+        ("tenant", Some(Value::Str(request.tenant.clone()))),
+        ("trace", request.trace.then_some(Value::Bool(true))),
+    ]))
 }
 
 /// Renders a response payload.
 pub fn render_response(response: &Response) -> String {
-    let mut map = BTreeMap::new();
-    map.insert("id".to_string(), Value::U64(response.id));
-    map.insert(
-        "status".to_string(),
-        Value::Str(response.status.tag().to_string()),
-    );
-    if let Some(addresses) = &response.addresses {
-        map.insert(
-            "addresses".to_string(),
-            Value::Array(addresses.iter().map(|a| Value::U64(*a)).collect()),
-        );
-    }
-    if let Some(ms) = response.retry_after_ms {
-        map.insert("retry_after_ms".to_string(), Value::U64(ms));
-    }
-    map.insert("detail".to_string(), Value::Str(response.detail.clone()));
-    map.insert("cache_hit".to_string(), Value::Bool(response.cache_hit));
-    map.insert("steps".to_string(), Value::U64(response.steps));
-    if let Some(trace) = &response.trace_jsonl {
-        map.insert("trace_jsonl".to_string(), Value::Str(trace.clone()));
-    }
-    json::render(&Value::Object(map))
+    let addresses = response
+        .addresses
+        .as_ref()
+        .map(|a| Value::Array(a.iter().map(|&a| Value::U64(a)).collect()));
+    json::render(&object(vec![
+        ("addresses", addresses),
+        ("cache_hit", Some(Value::Bool(response.cache_hit))),
+        ("detail", Some(Value::Str(response.detail.clone()))),
+        ("id", Some(Value::U64(response.id))),
+        ("retry_after_ms", response.retry_after_ms.map(Value::U64)),
+        (
+            "status",
+            Some(Value::Str(response.status.tag().to_string())),
+        ),
+        ("steps", Some(Value::U64(response.steps))),
+        ("trace_jsonl", response.trace_jsonl.clone().map(Value::Str)),
+    ]))
 }
 
 /// Parses a response payload (client side).
@@ -528,6 +528,102 @@ mod tests {
         assert_eq!(
             parse_response(&render_response(&rejected)).unwrap(),
             rejected
+        );
+    }
+
+    #[test]
+    fn rendered_bytes_are_pinned() {
+        let full = Request {
+            id: 42,
+            tenant: "prod \"east\"\n".into(),
+            problem: "capacity 10\nbuffer 0 4 6\n".into(),
+            max_steps: Some(1000),
+            deadline_ms: Some(250),
+            trace: true,
+        };
+        assert_eq!(
+            render_request(&full),
+            r#"{"deadline_ms":250,"id":42,"max_steps":1000,"problem":"capacity 10\nbuffer 0 4 6\n","tenant":"prod \"east\"\n","trace":true}"#
+        );
+        let bare = Request {
+            id: 0,
+            tenant: String::new(),
+            problem: String::new(),
+            max_steps: None,
+            deadline_ms: None,
+            trace: false,
+        };
+        assert_eq!(
+            render_request(&bare),
+            r#"{"id":0,"problem":"","tenant":""}"#
+        );
+
+        let solved = Response {
+            id: 9,
+            status: Status::Solved,
+            addresses: Some(vec![0, 6, 0]),
+            retry_after_ms: None,
+            detail: String::new(),
+            cache_hit: true,
+            steps: 17,
+            trace_jsonl: None,
+        };
+        let mut best_effort = Response::terminal(4, Status::BestEffort, "partial \u{1}é");
+        best_effort.addresses = Some(vec![]);
+        best_effort.steps = 5000;
+        let traced = Response {
+            trace_jsonl: Some("{\"trace\":\"tela\"}\n".into()),
+            ..solved.clone()
+        };
+        for (response, bytes) in [
+            (
+                solved,
+                r#"{"addresses":[0,6,0],"cache_hit":true,"detail":"","id":9,"status":"solved","steps":17}"#,
+            ),
+            (
+                Response::terminal(5, Status::Infeasible, "pair pigeonhole"),
+                r#"{"cache_hit":false,"detail":"pair pigeonhole","id":5,"status":"infeasible","steps":0}"#,
+            ),
+            (
+                best_effort,
+                r#"{"addresses":[],"cache_hit":false,"detail":"partial \u0001é","id":4,"status":"best_effort","steps":5000}"#,
+            ),
+            (
+                Response::rejected(3, 250, "tenant over quota"),
+                r#"{"cache_hit":false,"detail":"tenant over quota","id":3,"retry_after_ms":250,"status":"rejected","steps":0}"#,
+            ),
+            (
+                Response::terminal(u64::MAX, Status::TimedOut, "deadline"),
+                r#"{"cache_hit":false,"detail":"deadline","id":18446744073709551615,"status":"timed_out","steps":0}"#,
+            ),
+            (
+                traced,
+                r#"{"addresses":[0,6,0],"cache_hit":true,"detail":"","id":9,"status":"solved","steps":17,"trace_jsonl":"{\"trace\":\"tela\"}\n"}"#,
+            ),
+        ] {
+            assert_eq!(render_response(&response), bytes);
+        }
+    }
+
+    #[test]
+    fn numbers_outside_the_schema_are_shape_errors_not_json_errors() {
+        // A float or negative number in a field the server never reads
+        // does not stop the request.
+        let served = r#"{"id":3,"tenant":"t","problem":"capacity 4\n","weight":-1.5e3}"#;
+        assert!(matches!(
+            parse_addressed(served),
+            Ok(Payload::Solve(r)) if r.id == 3
+        ));
+        for id in ["1.0", "-1", "1e2"] {
+            let payload = format!(r#"{{"id":{id},"tenant":"t","problem":""}}"#);
+            assert_eq!(
+                parse_addressed(&payload),
+                Err((0, ProtocolError::Shape("missing numeric 'id'")))
+            );
+        }
+        assert_eq!(
+            parse_addressed(r#"{"id":1,"tenant":"t","problem":"","max_steps":-5}"#),
+            Err((1, ProtocolError::Shape("optional field must be an integer")))
         );
     }
 

@@ -40,7 +40,6 @@
 
 use crate::admission::{Admission, AdmissionController, TenantConfig};
 use crate::cache::SolutionCache;
-use crate::json::{self, Value};
 use crate::protocol::{
     parse_addressed, write_frame, Command, CommandKind, Frame, FrameReader, Payload, Response,
     Status,
@@ -54,6 +53,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 use tela_model::{Budget, CanonicalForm, Problem, SolveOutcome};
+use tela_trace::json::{self, Value};
 use tela_trace::{write_jsonl, MetricValue, Tracer};
 use telamalloc::{EscalationLadder, TelaConfig};
 
@@ -786,17 +786,12 @@ impl Server {
     /// one-terminal-response accounting it reports on.
     fn serve_command(&self, stream: &mut TcpStream, command: &Command) {
         self.tracer().count("server.introspections", 1);
-        let mut map = BTreeMap::new();
-        map.insert("id".to_string(), Value::U64(command.id));
-        match command.kind {
-            CommandKind::Stats => {
-                map.insert("stats".to_string(), self.stats_snapshot());
-            }
-            CommandKind::Trace => {
-                map.insert("trace".to_string(), self.trace_snapshot());
-            }
-        }
-        let _ = write_frame(stream, &json::render(&Value::Object(map)));
+        let body = match command.kind {
+            CommandKind::Stats => ("stats".to_string(), self.stats_snapshot()),
+            CommandKind::Trace => ("trace".to_string(), self.trace_snapshot()),
+        };
+        let reply = Value::Object(vec![("id".to_string(), Value::U64(command.id)), body]);
+        let _ = write_frame(stream, &json::render(&reply));
         let _ = stream.flush();
     }
 
@@ -818,7 +813,7 @@ impl Server {
         ] {
             responses.insert(key.to_string(), Value::U64(load(counter)));
         }
-        map.insert("responses".to_string(), Value::Object(responses));
+        map.insert("responses".to_string(), object(responses));
 
         let hits = self.cache.hits();
         let misses = self.cache.misses();
@@ -830,7 +825,7 @@ impl Server {
             "hit_rate_pct".to_string(),
             Value::U64(hits * 100 / (hits + misses).max(1)),
         );
-        map.insert("cache".to_string(), Value::Object(cache));
+        map.insert("cache".to_string(), object(cache));
 
         map.insert(
             "queue_depth".to_string(),
@@ -856,12 +851,12 @@ impl Server {
             let mut tenant = BTreeMap::new();
             tenant.insert("admitted".to_string(), Value::U64(stats.admitted));
             tenant.insert("denied".to_string(), Value::U64(stats.denied));
-            tenants.insert(name, Value::Object(tenant));
+            tenants.insert(name, object(tenant));
         }
-        map.insert("tenants".to_string(), Value::Object(tenants));
+        map.insert("tenants".to_string(), object(tenants));
 
         map.insert("metrics".to_string(), self.metrics_snapshot());
-        Value::Object(map)
+        object(map)
     }
 
     /// The metrics registry as JSON: counters and gauges as numbers
@@ -871,7 +866,7 @@ impl Server {
     fn metrics_snapshot(&self) -> Value {
         let mut map = BTreeMap::new();
         let Some(trace) = self.tracer().snapshot() else {
-            return Value::Object(map);
+            return object(map);
         };
         for entry in trace.metrics {
             let value = match entry.value {
@@ -889,12 +884,12 @@ impl Server {
                     for (tag, q) in [("p50", 0.5), ("p90", 0.9), ("p99", 0.99)] {
                         hist.insert(tag.to_string(), Value::U64(h.quantile(q).unwrap_or(0)));
                     }
-                    Value::Object(hist)
+                    object(hist)
                 }
             };
             map.insert(entry.name, value);
         }
-        Value::Object(map)
+        object(map)
     }
 
     /// The `trace` command body: an aggregate span rollup of the
@@ -907,7 +902,7 @@ impl Server {
         let mut map = BTreeMap::new();
         let Some(trace) = self.tracer().snapshot() else {
             map.insert("enabled".to_string(), Value::Bool(false));
-            return Value::Object(map);
+            return object(map);
         };
         map.insert("enabled".to_string(), Value::Bool(true));
         map.insert(
@@ -935,13 +930,19 @@ impl Server {
                         span.insert("total".to_string(), Value::U64(entry.total));
                         span.insert("self".to_string(), Value::U64(entry.self_time));
                         span.insert("max".to_string(), Value::U64(entry.max));
-                        Value::Object(span)
+                        object(span)
                     })
                     .collect(),
             ),
         );
-        Value::Object(map)
+        object(map)
     }
+}
+
+/// A snapshot object with its keys in sorted order, so the reply bytes
+/// do not depend on the order the fields were filled in.
+fn object(map: BTreeMap<String, Value>) -> Value {
+    Value::Object(map.into_iter().collect())
 }
 
 /// Serializes a per-request tracer's events into the response's

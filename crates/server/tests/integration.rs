@@ -8,10 +8,10 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 use tela_model::{examples, problem_to_text, Buffer, Problem, Solution};
-use tela_server::json::Value;
 use tela_server::{
     AdmissionController, Client, Request, Server, ServerConfig, Status, TenantConfig,
 };
+use tela_trace::json::Value;
 
 /// Runs `body` against a live server, guaranteeing shutdown (and thread
 /// join) even when the body panics, so failed assertions fail fast
@@ -433,7 +433,7 @@ fn trace_command_returns_an_aggregate_rollup_without_request_fields() {
             .expect("server.request span in the rollup");
         assert!(request_span.get("count").and_then(Value::as_u64) >= Some(1));
         // Aggregates only: no per-request payloads anywhere in the body.
-        let rendered = tela_server::json::render(trace);
+        let rendered = tela_trace::json::render(trace);
         assert!(!rendered.contains("problem"), "no request payloads leak");
     });
 }

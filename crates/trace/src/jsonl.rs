@@ -1,7 +1,8 @@
 //! JSONL export and import of traces.
 //!
-//! One JSON object per line, hand-rolled on both sides (the workspace
-//! is deliberately dependency-free):
+//! One JSON object per line. The writer streams each line straight
+//! into the output through the [`json`] codec's string escaper and
+//! float writer; the reader hands each line to [`json::parse`]:
 //!
 //! - line 1 — header: trace format version, clock mode, event count,
 //!   and the wall-clock capture time. The capture time is the *only*
@@ -13,34 +14,16 @@
 //!   `{"metric":"..","type":"counter","value":..}` (gauges and
 //!   histograms analogous).
 //!
-//! The parser accepts exactly the subset the writer emits (plus
-//! whitespace), enough for `tela-viz` and the timeline renderer to
-//! consume exported traces without a JSON library.
+//! Field values round-trip with their type: integers as `U64`/`I64`,
+//! every finite `F64` as a float token, non-finite floats as `null`
+//! (read back as NaN).
 
 use std::fmt::Write as _;
 
 use crate::event::{Event, Phase, Value};
+use crate::json::{self, Value as Json};
 use crate::metrics::{Histogram, MetricEntry, MetricValue};
 use crate::tracer::{ClockMode, Trace};
-
-/// Escapes `s` into `out` as a JSON string literal (with quotes).
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
 
 fn push_value(out: &mut String, value: &Value) {
     match value {
@@ -50,23 +33,11 @@ fn push_value(out: &mut String, value: &Value) {
         Value::I64(v) => {
             let _ = write!(out, "{v}");
         }
-        Value::F64(v) => {
-            if v.is_finite() {
-                // Always include a decimal point so the parser can tell
-                // floats from integers on the way back in.
-                if v.fract() == 0.0 && v.abs() < 1e15 {
-                    let _ = write!(out, "{v:.1}");
-                } else {
-                    let _ = write!(out, "{v}");
-                }
-            } else {
-                out.push_str("null");
-            }
-        }
+        Value::F64(v) => json::write_f64(out, *v),
         Value::Bool(v) => {
             let _ = write!(out, "{v}");
         }
-        Value::Str(s) => push_json_str(out, s),
+        Value::Str(s) => json::write_string(out, s),
     }
 }
 
@@ -95,15 +66,15 @@ pub fn write_jsonl(trace: &Trace) -> String {
         out.push_str("\",\"span\":");
         let _ = write!(out, "{}", event.span);
         out.push_str(",\"layer\":");
-        push_json_str(&mut out, &event.layer);
+        json::write_string(&mut out, &event.layer);
         out.push_str(",\"name\":");
-        push_json_str(&mut out, &event.name);
+        json::write_string(&mut out, &event.name);
         out.push_str(",\"fields\":{");
         for (i, (k, v)) in event.fields.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            push_json_str(&mut out, k);
+            json::write_string(&mut out, k);
             out.push(':');
             push_value(&mut out, v);
         }
@@ -111,7 +82,7 @@ pub fn write_jsonl(trace: &Trace) -> String {
     }
     for entry in &trace.metrics {
         out.push_str("{\"metric\":");
-        push_json_str(&mut out, &entry.name);
+        json::write_string(&mut out, &entry.name);
         match &entry.value {
             MetricValue::Counter(v) => {
                 let _ = write!(out, ",\"type\":\"counter\",\"value\":{v}");
@@ -171,263 +142,17 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// A parsed JSON value from the subset the writer emits.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Num(f64),
-    Int(i64),
-    UInt(u64),
-    Bool(bool),
-    Null,
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::UInt(v) => Some(*v),
-            Json::Int(v) => u64::try_from(*v).ok(),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// Maximum container nesting depth. The parser recurses per `[`/`{`,
-/// so without a bound a line of a few hundred KB of `[` overflows the
-/// reader's stack and aborts the process. Trace lines nest three levels
-/// deep (event → fields → value).
-const MAX_DEPTH: usize = 64;
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(s: &'a str) -> Self {
-        Cursor {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn parse_value(&mut self, depth: usize) -> Result<Json, String> {
-        if depth > MAX_DEPTH {
-            return Err(format!("nesting too deep at byte {}", self.pos));
-        }
-        match self.peek() {
-            Some(b'{') => self.parse_object(depth),
-            Some(b'[') => self.parse_array(depth),
-            Some(b'"') => self.parse_string().map(Json::Str),
-            Some(b't') => self.parse_lit("true", Json::Bool(true)),
-            Some(b'f') => self.parse_lit("false", Json::Bool(false)),
-            Some(b'n') => self.parse_lit("null", Json::Null),
-            Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|b| b as char),
-                self.pos
-            )),
-        }
-    }
-
-    fn parse_lit(&mut self, lit: &str, value: Json) -> Result<Json, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(format!("expected '{lit}' at byte {}", self.pos))
-        }
-    }
-
-    fn parse_object(&mut self, depth: usize) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            let value = self.parse_value(depth + 1)?;
-            pairs.push((key, value));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' in object, got {:?}",
-                        other.map(|b| b as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn parse_array(&mut self, depth: usize) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.parse_value(depth + 1)?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']' in array, got {:?}",
-                        other.map(|b| b as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos).copied() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {:?}", other.map(|b| b as char))),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy the whole run up to the next quote or backslash
-                    // in one slice (both are ASCII, so the run ends on a
-                    // char boundary): the scan stays linear in the line.
-                    let rest = &self.bytes[self.pos..];
-                    let len = rest
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
-                        .unwrap_or(rest.len());
-                    let run = std::str::from_utf8(&rest[..len]).map_err(|_| "invalid utf-8")?;
-                    out.push_str(run);
-                    self.pos += len;
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        if is_float {
-            text.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|_| format!("bad number '{text}'"))
-        } else if text.starts_with('-') {
-            text.parse::<i64>()
-                .map(Json::Int)
-                .map_err(|_| format!("bad number '{text}'"))
-        } else {
-            text.parse::<u64>()
-                .map(Json::UInt)
-                .map_err(|_| format!("bad number '{text}'"))
-        }
-    }
-}
-
 fn json_to_value(json: &Json) -> Result<Value, String> {
     Ok(match json {
-        Json::UInt(v) => Value::U64(*v),
-        Json::Int(v) => Value::I64(*v),
-        Json::Num(v) => Value::F64(*v),
+        Json::U64(v) => Value::U64(*v),
+        Json::I64(v) => Value::I64(*v),
+        Json::F64(v) => Value::F64(*v),
         Json::Bool(v) => Value::Bool(*v),
         Json::Null => Value::F64(f64::NAN),
         Json::Str(s) => Value::Str(s.clone()),
-        Json::Arr(_) | Json::Obj(_) => return Err("nested field values unsupported".to_string()),
+        Json::Array(_) | Json::Object(_) => {
+            return Err("nested field values unsupported".to_string())
+        }
     })
 }
 
@@ -461,7 +186,7 @@ fn parse_event(obj: &Json, line: usize) -> Result<Event, ParseError> {
         .ok_or_else(|| err("missing name".to_string()))?
         .to_string();
     let mut fields = Vec::new();
-    if let Some(Json::Obj(pairs)) = obj.get("fields") {
+    if let Some(Json::Object(pairs)) = obj.get("fields") {
         for (k, v) in pairs {
             let value = json_to_value(v).map_err(|message| ParseError { line, message })?;
             fields.push((k.clone().into(), value));
@@ -495,16 +220,11 @@ fn parse_metric(obj: &Json, line: usize) -> Result<MetricEntry, ParseError> {
                 .and_then(Json::as_u64)
                 .ok_or_else(|| err("bad counter value".to_string()))?,
         ),
-        "gauge" => {
-            let v = match obj.get("value") {
-                Some(Json::Int(v)) => *v,
-                Some(Json::UInt(v)) => {
-                    i64::try_from(*v).map_err(|_| err("gauge out of range".to_string()))?
-                }
-                _ => return Err(err("bad gauge value".to_string())),
-            };
-            MetricValue::Gauge(v)
-        }
+        "gauge" => MetricValue::Gauge(
+            obj.get("value")
+                .and_then(Json::as_i64)
+                .ok_or_else(|| err("bad gauge value".to_string()))?,
+        ),
         "histogram" => {
             let count = obj
                 .get("count")
@@ -514,7 +234,7 @@ fn parse_metric(obj: &Json, line: usize) -> Result<MetricEntry, ParseError> {
             let min = obj.get("min").and_then(Json::as_u64).unwrap_or(0);
             let max = obj.get("max").and_then(Json::as_u64).unwrap_or(0);
             let mut buckets = [0u64; Histogram::BUCKETS];
-            if let Some(Json::Arr(items)) = obj.get("buckets") {
+            if let Some(Json::Array(items)) = obj.get("buckets") {
                 for (i, item) in items.iter().take(Histogram::BUCKETS).enumerate() {
                     buckets[i] = item.as_u64().unwrap_or(0);
                 }
@@ -544,10 +264,10 @@ pub fn parse_jsonl(input: &str) -> Result<Trace, ParseError> {
         if raw.is_empty() {
             continue;
         }
-        let mut cursor = Cursor::new(raw);
-        let obj = cursor
-            .parse_value(0)
-            .map_err(|message| ParseError { line, message })?;
+        let obj = json::parse(raw).map_err(|e| ParseError {
+            line,
+            message: e.to_string(),
+        })?;
         if !saw_header && obj.get("trace").is_some() {
             saw_header = true;
             if obj.get("clock").and_then(Json::as_str) == Some("logical") {
@@ -674,9 +394,46 @@ mod tests {
             .contains("nesting too deep"));
         // At the limit the line parses (and is then rejected for its
         // shape, not its depth).
-        let ok = format!("{}0{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        let ok = format!(
+            "{}0{}",
+            "[".repeat(json::MAX_DEPTH),
+            "]".repeat(json::MAX_DEPTH)
+        );
         let err = parse_jsonl(&ok).unwrap_err();
         assert!(!err.message.contains("nesting"), "{err}");
+    }
+
+    #[test]
+    fn float_fields_keep_their_type() {
+        // Integral floats at and above 1e15 used to be written as bare
+        // integers: they read back as U64/I64, or not at all.
+        let floats = [3.0, 1e14, 1e15, -2e15, 1.5e20, f64::MAX, 0.1];
+        let t = Tracer::logical();
+        t.instant(
+            "test",
+            "floats",
+            floats
+                .iter()
+                .map(|&v| ("v".into(), Value::F64(v)))
+                .collect(),
+        );
+        let text = write_jsonl(&t.snapshot().unwrap());
+        let parsed = parse_jsonl(&text).unwrap();
+        let fields: Vec<&Value> = parsed.events[0].fields.iter().map(|(_, v)| v).collect();
+        let expected: Vec<Value> = floats.iter().map(|&v| Value::F64(v)).collect();
+        assert_eq!(fields, expected.iter().collect::<Vec<_>>(), "{text}");
+    }
+
+    #[test]
+    fn non_json_escapes_are_rejected() {
+        let event = |name: &str| {
+            format!("{{\"seq\":0,\"ts\":0,\"ph\":\"I\",\"span\":0,\"layer\":\"l\",\"name\":\"{name}\"}}")
+        };
+        assert!(parse_jsonl(&event("ok")).is_ok());
+        for bad in ["\\u+04A", "\\ud800"] {
+            let err = parse_jsonl(&event(bad)).unwrap_err();
+            assert!(err.message.contains("\\u escape"), "{err}");
+        }
     }
 
     #[test]

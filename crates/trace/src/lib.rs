@@ -18,9 +18,12 @@
 //!   when they flush.
 //! - [`MetricsRegistry`] — named counters, gauges, and log2-bucketed
 //!   histograms, snapshotted in deterministic name order.
-//! - [`write_jsonl`] / [`parse_jsonl`] — hand-rolled JSONL export and
-//!   import; only the first (header) line carries wall-clock data, so
-//!   logical-clock traces are byte-identical across identical solves.
+//! - [`write_jsonl`] / [`parse_jsonl`] — JSONL export and import; only
+//!   the first (header) line carries wall-clock data, so logical-clock
+//!   traces are byte-identical across identical solves.
+//! - [`json`] — the workspace's one JSON codec (strict, linear,
+//!   depth-limited), shared by trace JSONL, `tela-server`'s wire
+//!   protocol and `tela-lint`'s baseline file.
 //! - [`render_timeline`] / [`render_metrics`] — compact text renderers
 //!   for humans and CI diffs.
 //!
@@ -43,6 +46,7 @@
 #![warn(missing_docs)]
 
 mod event;
+pub mod json;
 mod jsonl;
 mod metrics;
 mod timeline;
