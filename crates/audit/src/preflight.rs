@@ -76,11 +76,6 @@ impl Verdict {
         matches!(self, Verdict::ProvablyInfeasible(_))
     }
 
-    /// True if the audit produced a validated solution.
-    pub fn is_trivially_feasible(&self) -> bool {
-        matches!(self, Verdict::TriviallyFeasible(_))
-    }
-
     /// True if the instance must go to a solver.
     pub fn needs_search(&self) -> bool {
         matches!(self, Verdict::NeedsSearch(_))

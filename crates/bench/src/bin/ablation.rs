@@ -12,7 +12,7 @@
 
 use tela_bench::{arg_usize, TextTable};
 use tela_model::{Budget, Problem};
-use telamalloc::{solve, TelaConfig};
+use telamalloc::{solve, Backtrack, TelaConfig};
 
 fn variants() -> Vec<(&'static str, TelaConfig)> {
     let full = TelaConfig::default;
@@ -42,8 +42,7 @@ fn variants() -> Vec<(&'static str, TelaConfig)> {
         (
             "fixed-backtrack",
             TelaConfig {
-                conflict_guided_backtracking: false,
-                fixed_backtrack_steps: 1,
+                backtrack: Backtrack::FixedSteps(1),
                 ..full()
             },
         ),

@@ -11,7 +11,7 @@ use tela_bench::{
     fmt_duration, median_time, model_problems, outcome_tag, solver_budget, TextTable,
 };
 use tela_model::{Budget, Problem};
-use telamalloc::{solve, solve_with, BacktrackPolicy, NullObserver, TelaConfig};
+use telamalloc::{solve, Backtrack, TelaConfig};
 
 fn main() {
     println!("# Figure 13: workstation comparison incl. CP-SAT-only and +ML\n");
@@ -42,19 +42,13 @@ fn main() {
         "CP stat",
     ]);
     let config = TelaConfig::default();
+    let ml_config = TelaConfig {
+        backtrack: Backtrack::custom(move || policy.clone()),
+        ..TelaConfig::default()
+    };
     for (kind, problem) in model_problems(0) {
         let (tela_time, _) = median_time(3, || solve(&problem, &solver_budget(), &config));
-        let (ml_time, _) = median_time(3, || {
-            let mut p = policy.clone();
-            let mut obs = NullObserver;
-            solve_with(
-                &problem,
-                &solver_budget(),
-                &config,
-                &mut p as &mut dyn BacktrackPolicy,
-                &mut obs,
-            )
-        });
+        let (ml_time, _) = median_time(3, || solve(&problem, &solver_budget(), &ml_config));
         let (ilp_time, (ilp_outcome, _)) =
             median_time(1, || tela_ilp::solve_ilp(&problem, &solver_budget()));
         let (cp_time, (cp_outcome, _)) = median_time(1, || {

@@ -9,7 +9,7 @@
 
 use tela_bench::{arg_usize, outcome_tag, TextTable};
 use tela_model::{Budget, Problem, Size};
-use telamalloc::{solve, solve_with, BacktrackPolicy, NullObserver, TelaConfig, TelaResult};
+use telamalloc::{solve, Backtrack, TelaConfig, TelaResult};
 
 /// SRGAN slices with realistic alignment on the short-lived buffers
 /// (weight slices / scratch need vector-unit alignment, §5.5); alignment
@@ -89,6 +89,10 @@ fn main() {
         "Default",
         "ML",
     ]);
+    let ml_config = TelaConfig {
+        backtrack: Backtrack::custom(move || policy.clone()),
+        ..TelaConfig::default()
+    };
     for blocks in [8usize, 12, 16, 20, 24] {
         let buffers = srgan_buffers(blocks);
         let edge = frontier(&buffers, step_cap);
@@ -102,15 +106,7 @@ fn main() {
                 continue;
             }
             let base = run_default(&problem, step_cap);
-            let mut p = policy.clone();
-            let mut obs = NullObserver;
-            let ml = solve_with(
-                &problem,
-                &Budget::steps(step_cap),
-                &TelaConfig::default(),
-                &mut p as &mut dyn BacktrackPolicy,
-                &mut obs,
-            );
+            let ml = solve(&problem, &Budget::steps(step_cap), &ml_config);
             table.row([
                 format!("{blocks} blocks"),
                 capacity.to_string(),

@@ -13,7 +13,7 @@
 
 use tela_bench::{arg_usize, TextTable};
 use tela_model::{Budget, Problem};
-use telamalloc::{solve, solve_with, BacktrackPolicy, NullObserver, TelaConfig};
+use telamalloc::{solve, Backtrack, TelaConfig};
 
 fn main() {
     let inputs = arg_usize("--inputs", 80);
@@ -72,16 +72,12 @@ fn main() {
         "Change",
     ]);
     let (mut improved, mut newly_solved, mut tenfold, mut worse, mut broke) = (0, 0, 0, 0, 0);
+    let ml_tela = TelaConfig {
+        backtrack: Backtrack::custom(move || policy.clone()),
+        ..tela
+    };
     for (config, base_bt, base_ok) in &tail {
-        let mut p = policy.clone();
-        let mut obs = NullObserver;
-        let ml = solve_with(
-            &config.problem,
-            &Budget::steps(step_cap),
-            &tela,
-            &mut p as &mut dyn BacktrackPolicy,
-            &mut obs,
-        );
+        let ml = solve(&config.problem, &Budget::steps(step_cap), &ml_tela);
         let ml_bt = ml.stats.total_backtracks();
         let ml_ok = ml.outcome.is_solved();
         let change = if ml_ok && !base_ok {

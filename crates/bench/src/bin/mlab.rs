@@ -7,7 +7,7 @@
 use tela_bench::arg_usize;
 use tela_learned::{collect_dataset, train_policy_from_samples, CollectConfig, GbtParams};
 use tela_model::{Budget, Problem};
-use telamalloc::{solve, solve_portfolio, solve_with, BacktrackPolicy, NullObserver, TelaConfig};
+use telamalloc::{solve, solve_portfolio, Backtrack, TelaConfig};
 
 fn main() {
     let tela = TelaConfig::default();
@@ -45,17 +45,13 @@ fn main() {
     ] {
         let policy =
             train_policy_from_samples(&samples, &GbtParams::default()).with_threshold(threshold);
+        let ml_tela = TelaConfig {
+            backtrack: Backtrack::custom(move || policy.clone()),
+            ..tela.clone()
+        };
         let (mut imp, mut fixed, mut worse, mut broke) = (0, 0, 0, 0);
         for (c, b0, s0) in &tail {
-            let mut p = policy.clone();
-            let mut o = NullObserver;
-            let ml = solve_with(
-                &c.problem,
-                &Budget::steps(50_000),
-                &tela,
-                &mut p as &mut dyn BacktrackPolicy,
-                &mut o,
-            );
+            let ml = solve(&c.problem, &Budget::steps(50_000), &ml_tela);
             let b1 = ml.stats.total_backtracks();
             let s1 = ml.outcome.is_solved();
             if s1 && !s0 {

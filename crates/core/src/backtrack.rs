@@ -7,8 +7,10 @@
 //! exponential-range fillers so the search cannot get stuck in one part
 //! of the tree — and delegates the choice to a [`BacktrackPolicy`].
 //!
-//! Three policies live here; the learned (gradient-boosted-tree) policy
+//! Two policies live here; the learned (gradient-boosted-tree) policy
 //! of §6 is provided by the `tela-learned` crate through the same trait.
+//! [`TelaConfig::backtrack`](crate::TelaConfig::backtrack) picks the
+//! policy a search runs.
 
 use tela_model::{Address, BufferId, Problem};
 
@@ -163,6 +165,12 @@ pub trait BacktrackPolicy {
     fn expand_candidates(&mut self, _ctx: &StepContext) -> bool {
         false
     }
+
+    /// Called when the search finds a complete solution, with the final
+    /// decision path; once per independent sub-problem when the search
+    /// splits (§5.3). The imitation-learning collector labels its
+    /// recorded backtracks against this path (§6.5).
+    fn on_solved(&mut self, _path: &[PlacedDecision]) {}
 }
 
 /// The paper's §5.4 default: jump to the second-to-last conflicting
@@ -197,23 +205,6 @@ impl BacktrackPolicy for FixedStepPolicy {
         BacktrackChoice::Target(ctx.current_level.saturating_sub(self.0.max(1)))
     }
 }
-
-/// Observes search events; used by the imitation-learning pipeline to
-/// harvest training examples (§6.5) without entangling the engine with
-/// the learning code.
-pub trait SearchObserver {
-    /// Called on every major backtrack, after the policy chose.
-    fn on_major_backtrack(&mut self, _ctx: &BacktrackContext<'_>, _choice: BacktrackChoice) {}
-    /// Called when the search finds a complete solution, with the final
-    /// decision path.
-    fn on_solved(&mut self, _path: &[PlacedDecision]) {}
-}
-
-/// An observer that records nothing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullObserver;
-
-impl SearchObserver for NullObserver {}
 
 #[cfg(test)]
 mod tests {

@@ -1,7 +1,11 @@
+use std::fmt;
+use std::sync::Arc;
+
 use tela_heuristics::SelectionStrategy;
 use tela_trace::Tracer;
 
 use crate::adaptive::AdaptiveConfig;
+use crate::backtrack::{BacktrackPolicy, ConflictGuidedPolicy, FixedStepPolicy};
 use crate::portfolio::PortfolioVariant;
 use crate::resilience::LadderConfig;
 
@@ -37,13 +41,10 @@ pub struct TelaConfig {
     /// Identify contention phases and place blocks phase by phase (§5.3,
     /// Figure 9).
     pub contention_grouping: bool,
-    /// On a major backtrack, jump to the second-to-last conflicting
-    /// placement instead of a fixed number of steps (§5.4).
-    pub conflict_guided_backtracking: bool,
-    /// Steps to rewind on a major backtrack when conflict-guided
-    /// backtracking is disabled (the paper's initial implementation used
-    /// 1–2).
-    pub fixed_backtrack_steps: usize,
+    /// Where a major backtrack lands (§5.4, §6): conflict-guided (the
+    /// default), a fixed rewind, or a caller-supplied policy such as the
+    /// learned one.
+    pub backtrack: Backtrack,
     /// Prepend the failing decision point's candidates at the backtrack
     /// target (§5.4).
     pub candidate_prepending: bool,
@@ -114,8 +115,7 @@ impl Default for TelaConfig {
             selection: SelectionStrategy::TELAMALLOC_ORDER.to_vec(),
             solver_guided_placement: true,
             contention_grouping: true,
-            conflict_guided_backtracking: true,
-            fixed_backtrack_steps: 1,
+            backtrack: Backtrack::ConflictGuided,
             candidate_prepending: true,
             max_candidates_per_level: 16,
             stuck_subtree_limit: 100,
@@ -134,6 +134,65 @@ impl Default for TelaConfig {
     }
 }
 
+/// The major-backtrack policy of a search (§5.4, §6).
+///
+/// Every run builds its own policy from this value, so a policy may keep
+/// mutable state, and one configuration can drive the concurrent
+/// variants of a portfolio race.
+#[derive(Clone)]
+pub enum Backtrack {
+    /// Jump to the second-to-last conflicting placement
+    /// ([`ConflictGuidedPolicy`], §5.4).
+    ConflictGuided,
+    /// Rewind this many steps ([`FixedStepPolicy`]; the paper's initial
+    /// implementation used 1–2).
+    FixedSteps(usize),
+    /// A caller-supplied policy (the learned one of `tela-learned`, say),
+    /// built fresh for every run by this factory.
+    Custom(Arc<dyn Fn() -> Box<dyn BacktrackPolicy> + Send + Sync>),
+}
+
+impl Backtrack {
+    /// A [`Backtrack::Custom`] that builds each run's policy with `make`.
+    pub fn custom<P: BacktrackPolicy + 'static>(
+        make: impl Fn() -> P + Send + Sync + 'static,
+    ) -> Self {
+        Backtrack::Custom(Arc::new(move || Box::new(make())))
+    }
+
+    /// The policy for one search run.
+    pub(crate) fn policy(&self) -> Box<dyn BacktrackPolicy> {
+        match self {
+            Backtrack::ConflictGuided => Box::new(ConflictGuidedPolicy),
+            Backtrack::FixedSteps(steps) => Box::new(FixedStepPolicy(*steps)),
+            Backtrack::Custom(make) => make(),
+        }
+    }
+}
+
+/// Custom policies compare by factory identity: two configurations
+/// holding the same `Arc` search alike.
+impl PartialEq for Backtrack {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Backtrack::ConflictGuided, Backtrack::ConflictGuided) => true,
+            (Backtrack::FixedSteps(a), Backtrack::FixedSteps(b)) => a == b,
+            (Backtrack::Custom(a), Backtrack::Custom(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+}
+
+impl fmt::Debug for Backtrack {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Backtrack::ConflictGuided => f.write_str("ConflictGuided"),
+            Backtrack::FixedSteps(steps) => f.debug_tuple("FixedSteps").field(steps).finish(),
+            Backtrack::Custom(_) => f.write_str("Custom(..)"),
+        }
+    }
+}
+
 impl TelaConfig {
     /// The configuration used for the paper's Figure 14 strategy
     /// comparison: a single block-selection strategy, lowest-position
@@ -142,7 +201,7 @@ impl TelaConfig {
         TelaConfig {
             selection: vec![strategy],
             contention_grouping: false,
-            conflict_guided_backtracking: false,
+            backtrack: Backtrack::FixedSteps(1),
             candidate_prepending: false,
             ..TelaConfig::default()
         }
@@ -159,7 +218,7 @@ mod tests {
         assert_eq!(c.selection, SelectionStrategy::TELAMALLOC_ORDER.to_vec());
         assert!(c.solver_guided_placement);
         assert!(c.contention_grouping);
-        assert!(c.conflict_guided_backtracking);
+        assert_eq!(c.backtrack, Backtrack::ConflictGuided);
         assert!(c.candidate_prepending);
         assert_eq!(c.stuck_subtree_limit, 100);
         assert!(c.preflight_audit);
@@ -172,7 +231,7 @@ mod tests {
         let c = TelaConfig::single_strategy(SelectionStrategy::MaxSize);
         assert_eq!(c.selection, vec![SelectionStrategy::MaxSize]);
         assert!(!c.contention_grouping);
-        assert!(!c.conflict_guided_backtracking);
+        assert_eq!(c.backtrack, Backtrack::FixedSteps(1));
         assert!(!c.candidate_prepending);
     }
 }

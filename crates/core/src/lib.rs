@@ -51,9 +51,9 @@ mod search;
 pub use adaptive::{AdaptiveConfig, AdaptiveReport, RoundReport, RunReport, VariantRanker};
 pub use backtrack::{
     BacktrackChoice, BacktrackContext, BacktrackPolicy, BacktrackTarget, ConflictGuidedPolicy,
-    FixedStepPolicy, NullObserver, PlacedDecision, SearchObserver, StepContext, TargetFeatures,
+    FixedStepPolicy, PlacedDecision, StepContext, TargetFeatures,
 };
-pub use config::TelaConfig;
+pub use config::{Backtrack, TelaConfig};
 pub use portfolio::{
     default_variants, solve_portfolio, PortfolioResult, PortfolioVariant, VariantOutcome,
     VariantReport,
@@ -61,7 +61,7 @@ pub use portfolio::{
 pub use resilience::{
     EscalationLadder, LadderConfig, LadderResult, NoSpill, SpillHook, StageReport,
 };
-pub use search::{solve, solve_with, TelaResult};
+pub use search::{solve, TelaResult};
 // Re-exported so pipeline consumers can inspect infeasibility witnesses
 // without depending on tela-audit directly.
 pub use tela_audit::{Certificate, Verdict};

@@ -32,7 +32,7 @@ use tela_model::{Budget, BufferId, Problem, RaceWinner, SolveOutcome, SolveStats
 
 use crate::adaptive::AdaptiveReport;
 use crate::backtrack::PlacedDecision;
-use crate::config::TelaConfig;
+use crate::config::{Backtrack, TelaConfig};
 use crate::search::{settle_by_preflight, solve, TelaResult};
 
 /// One competitor in the portfolio race: a named search configuration.
@@ -197,9 +197,12 @@ pub fn default_variants(base: &TelaConfig) -> Vec<PortfolioVariant> {
         config: base.clone(),
     }];
     for strategy in SelectionStrategy::ALL {
-        for (conflict_guided, policy_name) in [(true, "conflict-guided"), (false, "fixed-step")] {
+        for (backtrack, policy_name) in [
+            (Backtrack::ConflictGuided, "conflict-guided"),
+            (Backtrack::FixedSteps(1), "fixed-step"),
+        ] {
             let mut config = TelaConfig::single_strategy(strategy);
-            config.conflict_guided_backtracking = conflict_guided;
+            config.backtrack = backtrack;
             // Skip cross entries that would search identically to an
             // already-listed variant (e.g. a `single_strategy` base):
             // a duplicate worker can only waste a thread, never win
@@ -228,8 +231,7 @@ fn same_search_behavior(a: &TelaConfig, b: &TelaConfig) -> bool {
     a.selection == b.selection
         && a.solver_guided_placement == b.solver_guided_placement
         && a.contention_grouping == b.contention_grouping
-        && a.conflict_guided_backtracking == b.conflict_guided_backtracking
-        && (a.conflict_guided_backtracking || a.fixed_backtrack_steps == b.fixed_backtrack_steps)
+        && a.backtrack == b.backtrack
         && a.candidate_prepending == b.candidate_prepending
         && a.max_candidates_per_level == b.max_candidates_per_level
         && a.stuck_subtree_limit == b.stuck_subtree_limit

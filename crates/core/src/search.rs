@@ -18,8 +18,8 @@ use tela_heuristics::SelectionStrategy;
 use tela_model::{Address, Budget, BufferId, PhasePartition, Problem, SolveOutcome, SolveStats};
 
 use crate::backtrack::{
-    BacktrackChoice, BacktrackContext, BacktrackPolicy, BacktrackTarget, ConflictGuidedPolicy,
-    FixedStepPolicy, NullObserver, PlacedDecision, SearchObserver, StepContext, TargetFeatures,
+    BacktrackChoice, BacktrackContext, BacktrackPolicy, BacktrackTarget, PlacedDecision,
+    StepContext, TargetFeatures,
 };
 use crate::candidates::CandidateIndex;
 use crate::config::TelaConfig;
@@ -56,7 +56,9 @@ pub struct TelaResult {
     pub certificate: Option<Certificate>,
 }
 
-/// Solves `problem` with the default configuration and backtrack policy.
+/// Solves `problem` with one search variant: the configuration's
+/// selection, placement and [`backtrack`](TelaConfig::backtrack)
+/// policy, freshly built for this run.
 ///
 /// # Example
 ///
@@ -70,29 +72,7 @@ pub struct TelaResult {
 /// assert!(solution.validate(&problem).is_ok());
 /// ```
 pub fn solve(problem: &Problem, budget: &Budget, config: &TelaConfig) -> TelaResult {
-    let mut policy = default_policy(config);
-    let mut observer = NullObserver;
-    solve_with(problem, budget, config, policy.as_mut(), &mut observer)
-}
-
-pub(crate) fn default_policy(config: &TelaConfig) -> Box<dyn BacktrackPolicy> {
-    if config.conflict_guided_backtracking {
-        Box::new(ConflictGuidedPolicy)
-    } else {
-        Box::new(FixedStepPolicy(config.fixed_backtrack_steps))
-    }
-}
-
-/// Solves `problem` with an explicit backtrack policy and observer
-/// (used by the learned policy and the imitation-learning data
-/// collector).
-pub fn solve_with(
-    problem: &Problem,
-    budget: &Budget,
-    config: &TelaConfig,
-    policy: &mut dyn BacktrackPolicy,
-    observer: &mut dyn SearchObserver,
-) -> TelaResult {
+    let mut policy = config.backtrack.policy();
     let tracer = config.tracer.clone();
     let span = if tracer.enabled() {
         tracer.begin(
@@ -106,7 +86,7 @@ pub fn solve_with(
     } else {
         tela_trace::SpanId::NULL
     };
-    let result = solve_with_inner(problem, budget, config, policy, observer);
+    let result = solve_inner(problem, budget, config, policy.as_mut());
     if tracer.enabled() {
         tracer.count("search.solves", 1);
         tracer.count("search.steps", result.stats.steps);
@@ -135,12 +115,11 @@ pub fn solve_with(
     result
 }
 
-fn solve_with_inner(
+fn solve_inner(
     problem: &Problem,
     budget: &Budget,
     config: &TelaConfig,
     policy: &mut dyn BacktrackPolicy,
-    observer: &mut dyn SearchObserver,
 ) -> TelaResult {
     // tela-lint: allow(deterministic-clock, reason = "stats-only wall stamping of elapsed; never branches the search")
     let start = Instant::now();
@@ -153,10 +132,10 @@ fn solve_with_inner(
     if config.split_independent {
         let groups = tela_model::split_independent(problem);
         if groups.len() > 1 {
-            return solve_split(problem, budget, config, policy, observer, groups, start);
+            return solve_split(problem, budget, config, policy, groups, start);
         }
     }
-    let mut result = Engine::run(problem, budget, config, policy, observer);
+    let mut result = Engine::run(problem, budget, config, policy);
     result.stats.elapsed = start.elapsed();
     result
 }
@@ -222,13 +201,11 @@ pub(crate) fn settle_by_preflight(
 }
 
 /// Solves each time-disjoint group independently and merges (§5.3).
-#[allow(clippy::too_many_arguments)]
 fn solve_split(
     problem: &Problem,
     budget: &Budget,
     config: &TelaConfig,
     policy: &mut dyn BacktrackPolicy,
-    observer: &mut dyn SearchObserver,
     groups: Vec<Vec<BufferId>>,
     start: Instant,
 ) -> TelaResult {
@@ -244,7 +221,7 @@ fn solve_split(
         // input problem.
         let sub = Problem::new(buffers, problem.capacity())
             .expect("sub-problem inherits a valid capacity");
-        let sub_result = Engine::run(&sub, budget, config, policy, observer);
+        let sub_result = Engine::run(&sub, budget, config, policy);
         stats.absorb(&sub_result.stats);
         match sub_result.outcome {
             SolveOutcome::Solved(sub_solution) => {
@@ -399,10 +376,9 @@ impl<'a> Engine<'a> {
         budget: &Budget,
         config: &'a TelaConfig,
         policy: &mut dyn BacktrackPolicy,
-        observer: &mut dyn SearchObserver,
     ) -> TelaResult {
         match Engine::new(problem, config) {
-            Some(mut engine) => engine.solve(budget, policy, observer),
+            Some(mut engine) => engine.solve(budget, policy),
             // The model rejects exactly the instances whose contention
             // exceeds capacity, which the contention bound certifies.
             None => TelaResult {
@@ -454,13 +430,8 @@ impl<'a> Engine<'a> {
         })
     }
 
-    fn solve(
-        &mut self,
-        budget: &Budget,
-        policy: &mut dyn BacktrackPolicy,
-        observer: &mut dyn SearchObserver,
-    ) -> TelaResult {
-        let mut result = self.search(budget, policy, observer);
+    fn solve(&mut self, budget: &Budget, policy: &mut dyn BacktrackPolicy) -> TelaResult {
+        let mut result = self.search(budget, policy);
         result.stats.propagations = self.solver.propagations();
         // Solver counters are sampled once per run, never incremented
         // per propagation: the hot loop stays metric-free.
@@ -475,12 +446,7 @@ impl<'a> Engine<'a> {
         result
     }
 
-    fn search(
-        &mut self,
-        budget: &Budget,
-        policy: &mut dyn BacktrackPolicy,
-        observer: &mut dyn SearchObserver,
-    ) -> TelaResult {
+    fn search(&mut self, budget: &Budget, policy: &mut dyn BacktrackPolicy) -> TelaResult {
         loop {
             if budget.exhausted(self.stats.steps) {
                 // Distinguish losing a portfolio race from running dry on
@@ -490,7 +456,7 @@ impl<'a> Engine<'a> {
             }
             if let Some(solution) = self.solver.solution() {
                 let path = self.path();
-                observer.on_solved(&path);
+                policy.on_solved(&path);
                 return TelaResult {
                     outcome: SolveOutcome::Solved(solution),
                     stats: self.stats,
@@ -524,7 +490,7 @@ impl<'a> Engine<'a> {
                     if self.frames.is_empty() {
                         return self.finish(SolveOutcome::GaveUp);
                     }
-                    self.major_backtrack(policy, observer);
+                    self.major_backtrack(policy);
                 }
             }
         }
@@ -769,11 +735,7 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn major_backtrack(
-        &mut self,
-        policy: &mut dyn BacktrackPolicy,
-        observer: &mut dyn SearchObserver,
-    ) {
+    fn major_backtrack(&mut self, policy: &mut dyn BacktrackPolicy) {
         self.stats.major_backtracks += 1;
         self.global_backtracks += 1;
         #[cfg(feature = "trace")]
@@ -827,8 +789,6 @@ impl<'a> Engine<'a> {
             total_backtracks: self.global_backtracks,
         };
         let choice = policy.choose(&ctx);
-        observer.on_major_backtrack(&ctx, choice);
-        let _ = ctx;
         self.scratch.path = path;
 
         match choice {
@@ -1012,7 +972,12 @@ impl<'a> Engine<'a> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::Arc;
+
     use super::*;
+    use crate::backtrack::ConflictGuidedPolicy;
+    use crate::config::Backtrack;
     use tela_model::{examples, Buffer};
 
     fn solve_default(problem: &Problem) -> TelaResult {
@@ -1212,8 +1177,7 @@ mod tests {
     fn fixed_step_backtracking_mode_works() {
         let p = examples::figure1();
         let cfg = TelaConfig {
-            conflict_guided_backtracking: false,
-            fixed_backtrack_steps: 2,
+            backtrack: Backtrack::FixedSteps(2),
             ..TelaConfig::default()
         };
         let r = solve(&p, &Budget::steps(500_000), &cfg);
@@ -1224,31 +1188,39 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_solution_path() {
+    fn policy_sees_solution_path() {
+        /// Conflict-guided backtracking that counts what the engine
+        /// reports to it into counters shared with the test.
         #[derive(Default)]
-        struct Recorder {
-            solved_len: usize,
-            majors: usize,
+        struct Seen {
+            solved_len: AtomicUsize,
+            majors: AtomicU64,
         }
-        impl SearchObserver for Recorder {
-            fn on_major_backtrack(&mut self, _: &BacktrackContext<'_>, _: BacktrackChoice) {
-                self.majors += 1;
+        struct Recorder(Arc<Seen>);
+        impl BacktrackPolicy for Recorder {
+            fn choose(&mut self, ctx: &BacktrackContext<'_>) -> BacktrackChoice {
+                self.0.majors.fetch_add(1, Ordering::Relaxed);
+                ConflictGuidedPolicy.choose(ctx)
             }
             fn on_solved(&mut self, path: &[PlacedDecision]) {
-                self.solved_len += path.len();
+                self.0.solved_len.fetch_add(path.len(), Ordering::Relaxed);
             }
         }
         let p = examples::figure1();
-        let mut policy = ConflictGuidedPolicy;
-        let mut rec = Recorder::default();
+        let seen = Arc::new(Seen::default());
+        let shared = Arc::clone(&seen);
         let cfg = TelaConfig {
             split_independent: false,
+            backtrack: Backtrack::custom(move || Recorder(Arc::clone(&shared))),
             ..TelaConfig::default()
         };
-        let r = solve_with(&p, &Budget::steps(500_000), &cfg, &mut policy, &mut rec);
+        let r = solve(&p, &Budget::steps(500_000), &cfg);
         assert!(r.outcome.is_solved());
-        assert_eq!(rec.solved_len, p.len());
-        assert_eq!(rec.majors as u64, r.stats.major_backtracks);
+        assert_eq!(seen.solved_len.load(Ordering::Relaxed), p.len());
+        assert_eq!(
+            seen.majors.load(Ordering::Relaxed),
+            r.stats.major_backtracks
+        );
     }
 
     #[test]
@@ -1275,12 +1247,18 @@ mod tests {
 
 #[cfg(test)]
 mod gate_tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
     use super::*;
+    use crate::backtrack::ConflictGuidedPolicy;
+    use crate::config::Backtrack;
     use tela_model::examples;
 
-    /// A policy that always expands candidates and counts hook calls.
+    /// A policy that always expands candidates and counts hook calls
+    /// into a counter shared with the test.
     struct AlwaysExpand {
-        calls: usize,
+        calls: Arc<AtomicUsize>,
         inner: ConflictGuidedPolicy,
     }
     impl BacktrackPolicy for AlwaysExpand {
@@ -1288,7 +1266,7 @@ mod gate_tests {
             self.inner.choose(ctx)
         }
         fn expand_candidates(&mut self, ctx: &StepContext) -> bool {
-            self.calls += 1;
+            self.calls.fetch_add(1, Ordering::Relaxed);
             assert!(ctx.unplaced <= ctx.total_buffers);
             true
         }
@@ -1297,19 +1275,20 @@ mod gate_tests {
     #[test]
     fn expansion_hook_is_consulted_per_decision_point() {
         let p = examples::figure1();
-        let mut policy = AlwaysExpand {
-            calls: 0,
-            inner: ConflictGuidedPolicy,
-        };
-        let mut obs = NullObserver;
+        let calls = Arc::new(AtomicUsize::new(0));
+        let shared = Arc::clone(&calls);
         let cfg = TelaConfig {
             split_independent: false,
+            backtrack: Backtrack::custom(move || AlwaysExpand {
+                calls: Arc::clone(&shared),
+                inner: ConflictGuidedPolicy,
+            }),
             ..TelaConfig::default()
         };
-        let r = solve_with(&p, &Budget::steps(100_000), &cfg, &mut policy, &mut obs);
+        let r = solve(&p, &Budget::steps(100_000), &cfg);
         assert!(r.outcome.is_solved());
         // At least one hook call per committed decision.
-        assert!(policy.calls >= p.len());
+        assert!(calls.load(Ordering::Relaxed) >= p.len());
     }
 
     #[test]
@@ -1324,15 +1303,11 @@ mod gate_tests {
             }
         }
         let p = examples::aligned();
-        let mut policy = ExpandWhenStuck;
-        let mut obs = NullObserver;
-        let r = solve_with(
-            &p,
-            &Budget::steps(100_000),
-            &TelaConfig::default(),
-            &mut policy,
-            &mut obs,
-        );
+        let cfg = TelaConfig {
+            backtrack: Backtrack::custom(|| ExpandWhenStuck),
+            ..TelaConfig::default()
+        };
+        let r = solve(&p, &Budget::steps(100_000), &cfg);
         if let Some(s) = r.outcome.solution() {
             assert!(s.validate(&p).is_ok());
         }
@@ -1350,15 +1325,11 @@ mod gate_tests {
     #[test]
     fn pathological_policy_cannot_break_the_engine() {
         let p = examples::figure1();
-        let mut policy = Pathological;
-        let mut obs = NullObserver;
-        let r = solve_with(
-            &p,
-            &Budget::steps(50_000),
-            &TelaConfig::default(),
-            &mut policy,
-            &mut obs,
-        );
+        let cfg = TelaConfig {
+            backtrack: Backtrack::custom(|| Pathological),
+            ..TelaConfig::default()
+        };
+        let r = solve(&p, &Budget::steps(50_000), &cfg);
         if let Some(s) = r.outcome.solution() {
             assert!(s.validate(&p).is_ok());
         }

@@ -18,8 +18,7 @@ use tela_model::{Budget, Buffer, BufferId, PhasePartition, Problem};
 
 use super::Engine;
 use crate::backtrack::{
-    BacktrackChoice, BacktrackContext, BacktrackPolicy, ConflictGuidedPolicy, NullObserver,
-    StepContext,
+    BacktrackChoice, BacktrackContext, BacktrackPolicy, ConflictGuidedPolicy, StepContext,
 };
 use crate::config::TelaConfig;
 
@@ -254,7 +253,7 @@ fn run_checked(
         return (0, 0);
     };
     engine.oracle = Some(Oracle::new(problem, config));
-    let result = engine.solve(&Budget::steps(steps), policy, &mut NullObserver);
+    let result = engine.solve(&Budget::steps(steps), policy);
     (result.stats.steps, engine.oracle.map_or(0, |o| o.checks))
 }
 

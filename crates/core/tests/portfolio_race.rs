@@ -1,14 +1,17 @@
 //! Portfolio race contracts: sequential determinism, parallel
 //! soundness, and "the race never loses to its own base variant".
 
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
-use tela_model::{Budget, Buffer, Problem, RaceWinner, SolveOutcome, SolveStats};
-use tela_workloads::sweep::{certified_configs, sweep_configs};
+use tela_model::{Budget, Buffer, Problem, RaceWinner, ResilienceStage, SolveOutcome, SolveStats};
+use tela_workloads::sweep::{certified_configs, certified_solvable, sweep_configs};
 use telamalloc::{
-    default_variants, solve, solve_portfolio, PlacedDecision, PortfolioResult, PortfolioVariant,
-    TelaConfig, VariantOutcome, Verdict,
+    default_variants, solve, solve_portfolio, Backtrack, BacktrackChoice, BacktrackContext,
+    BacktrackPolicy, ConflictGuidedPolicy, EscalationLadder, PlacedDecision, PortfolioResult,
+    PortfolioVariant, TelaConfig, VariantOutcome, Verdict,
 };
 
 /// Everything in [`SolveStats`] except wall-clock time, which can never
@@ -104,6 +107,59 @@ fn single_variant_race_matches_solve_on_every_outcome() {
 
 /// Every solution coming out of a multi-threaded race is a real
 /// solution, and the winner's report agrees with the final result.
+/// A `Custom` backtrack policy on the base configuration reaches the
+/// ladder's portfolio stage, sequential or parallel: the run of variant 0
+/// builds its own copy, and that copy answers the major backtracks.
+#[test]
+fn ladder_runs_a_custom_policy_at_every_thread_count() {
+    #[derive(Default)]
+    struct Counts {
+        built: AtomicUsize,
+        chosen: AtomicU64,
+    }
+    struct Counting(Arc<Counts>);
+    impl BacktrackPolicy for Counting {
+        fn choose(&mut self, ctx: &BacktrackContext<'_>) -> BacktrackChoice {
+            self.0.chosen.fetch_add(1, Ordering::Relaxed);
+            ConflictGuidedPolicy.choose(ctx)
+        }
+    }
+    // Greedy cannot place this instance, and the conflict-guided search
+    // solves it after a few major backtracks.
+    let problem = certified_solvable(0);
+    for threads in [1, 2] {
+        let counts = Arc::new(Counts::default());
+        let shared = Arc::clone(&counts);
+        let ladder = EscalationLadder::new(TelaConfig {
+            threads,
+            backtrack: Backtrack::custom(move || {
+                shared.built.fetch_add(1, Ordering::Relaxed);
+                Counting(Arc::clone(&shared))
+            }),
+            ..TelaConfig::default()
+        });
+        let result = ladder.solve(&problem, &Budget::steps(30_000));
+        assert_eq!(
+            result.stage,
+            ResilienceStage::Portfolio,
+            "threads {threads}"
+        );
+        let solution = result.outcome.solution().expect("variant 0 solves it");
+        assert!(solution.validate(&problem).is_ok());
+        assert!(
+            counts.built.load(Ordering::Relaxed) >= 1,
+            "threads {threads}"
+        );
+        let chosen = counts.chosen.load(Ordering::Relaxed);
+        assert!(chosen > 0, "threads {threads}");
+        if threads == 1 {
+            // Sequentially only variant 0 ran: every major backtrack was
+            // the custom policy's.
+            assert_eq!(chosen, result.stats.major_backtracks);
+        }
+    }
+}
+
 #[test]
 fn parallel_race_solutions_validate() {
     let config = TelaConfig {

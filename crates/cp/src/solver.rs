@@ -497,11 +497,6 @@ impl CpSolver {
         self.fixed_order.len()
     }
 
-    /// Assigned buffers in assignment order.
-    pub fn fixed_in_order(&self) -> impl Iterator<Item = BufferId> + '_ {
-        self.fixed_order.iter().map(|&v| BufferId::new(v as usize))
-    }
-
     /// Unassigned buffers in id order.
     pub fn unfixed(&self) -> impl Iterator<Item = BufferId> + '_ {
         self.fixed

@@ -1,4 +1,4 @@
-use tela_model::{Address, Buffer, Problem, TimeStep};
+use tela_model::{Address, Buffer, TimeStep};
 
 /// The "skyline" of placed buffers: for each time slot, the maximum
 /// address in use (paper §3.1, Figure 4).
@@ -32,11 +32,6 @@ impl Skyline {
         Skyline {
             tops: vec![0; horizon as usize],
         }
-    }
-
-    /// Creates an empty skyline sized for `problem`.
-    pub fn for_problem(problem: &Problem) -> Self {
-        Skyline::new(problem.horizon())
     }
 
     /// The current skyline height at time step `t` (0 past the horizon).

@@ -9,15 +9,14 @@
 //! and the *best* target from the intersection with the final solution
 //! (§6.3), combined through the §6.4 score formula.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use tela_model::{Budget, Problem};
 use telamalloc::{
-    BacktrackChoice, BacktrackContext, BacktrackPolicy, ConflictGuidedPolicy, PlacedDecision,
-    SearchObserver, TargetFeatures, TelaConfig,
+    Backtrack, BacktrackChoice, BacktrackContext, BacktrackPolicy, ConflictGuidedPolicy,
+    PlacedDecision, TargetFeatures, TelaConfig,
 };
 
 use crate::oracle;
@@ -132,14 +131,16 @@ impl CollectState {
     }
 }
 
+/// The recording policy; its state is a sink shared with
+/// [`collect_samples`], which reads the labelled samples after the run.
 struct CollectorPolicy {
-    state: Rc<RefCell<CollectState>>,
+    state: Arc<Mutex<CollectState>>,
     regular: ConflictGuidedPolicy,
 }
 
 impl BacktrackPolicy for CollectorPolicy {
     fn choose(&mut self, ctx: &BacktrackContext<'_>) -> BacktrackChoice {
-        let mut state = self.state.borrow_mut();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if state.problem.as_ref() != Some(ctx.problem) {
             // A new (sub-)problem started; orphaned events have no final
             // solution to label against.
@@ -175,15 +176,12 @@ impl BacktrackPolicy for CollectorPolicy {
         }
         self.regular.choose(ctx)
     }
-}
 
-struct CollectorObserver {
-    state: Rc<RefCell<CollectState>>,
-}
-
-impl SearchObserver for CollectorObserver {
     fn on_solved(&mut self, path: &[PlacedDecision]) {
-        self.state.borrow_mut().finalize(path);
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .finalize(path);
     }
 }
 
@@ -221,27 +219,24 @@ pub fn collect_samples(
     config: &CollectConfig,
     seed: u64,
 ) -> Vec<Sample> {
-    let state = Rc::new(RefCell::new(CollectState {
+    let state = Arc::new(Mutex::new(CollectState {
         config: *config,
         rng: StdRng::seed_from_u64(seed),
         problem: None,
         pending: Vec::new(),
         samples: Vec::new(),
     }));
-    let mut policy = CollectorPolicy {
-        state: Rc::clone(&state),
-        regular: ConflictGuidedPolicy,
+    let sink = Arc::clone(&state);
+    let tela = TelaConfig {
+        backtrack: Backtrack::custom(move || CollectorPolicy {
+            state: Arc::clone(&sink),
+            regular: ConflictGuidedPolicy,
+        }),
+        ..tela.clone()
     };
-    let mut observer = CollectorObserver {
-        state: Rc::clone(&state),
-    };
-    let _ = telamalloc::solve_with(problem, budget, tela, &mut policy, &mut observer);
-    drop(policy);
-    drop(observer);
-    Rc::try_unwrap(state)
-        .expect("policy and observer dropped")
-        .into_inner()
-        .samples
+    let _ = telamalloc::solve(problem, budget, &tela);
+    let mut state = state.lock().unwrap_or_else(PoisonError::into_inner);
+    std::mem::take(&mut state.samples)
 }
 
 /// Collects samples over many problems, varying the memory capacity the

@@ -15,6 +15,9 @@
 //! as the backtracking model: decision points that attract backtracks
 //! are the ones worth widening.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
 use telamalloc::{BacktrackChoice, BacktrackContext, BacktrackPolicy, StepContext};
 
 use crate::collect::Sample;
@@ -38,8 +41,9 @@ pub struct GatedPolicy<P> {
     inner: P,
     tree: RegressionTree,
     threshold: f64,
-    consulted: u64,
-    expanded: u64,
+    /// `(consulted, expanded)`, shared with every clone: a configuration
+    /// builds one clone per search run, and they all report here.
+    counters: Arc<[AtomicU64; 2]>,
 }
 
 impl<P: BacktrackPolicy> GatedPolicy<P> {
@@ -80,8 +84,7 @@ impl<P: BacktrackPolicy> GatedPolicy<P> {
             inner,
             tree,
             threshold: Self::DEFAULT_THRESHOLD,
-            consulted: 0,
-            expanded: 0,
+            counters: Arc::default(),
         }
     }
 
@@ -92,14 +95,14 @@ impl<P: BacktrackPolicy> GatedPolicy<P> {
         self
     }
 
-    /// `(consulted, expanded)` counters for reporting.
+    /// `(consulted, expanded)` counters for reporting, summed over this
+    /// policy and all its clones.
     pub fn stats(&self) -> (u64, u64) {
-        (self.consulted, self.expanded)
-    }
-
-    /// The wrapped policy.
-    pub fn inner(&self) -> &P {
-        &self.inner
+        let [consulted, expanded] = &*self.counters;
+        (
+            consulted.load(Ordering::Relaxed),
+            expanded.load(Ordering::Relaxed),
+        )
     }
 }
 
@@ -109,7 +112,7 @@ impl<P: BacktrackPolicy> BacktrackPolicy for GatedPolicy<P> {
     }
 
     fn expand_candidates(&mut self, ctx: &StepContext) -> bool {
-        self.consulted += 1;
+        self.counters[0].fetch_add(1, Ordering::Relaxed);
         let f = gate_features(ctx);
         // Map StepContext features onto the trained space: depth
         // squashed, unplaced fraction as the coarse second signal,
@@ -117,7 +120,7 @@ impl<P: BacktrackPolicy> BacktrackPolicy for GatedPolicy<P> {
         let row = [(ctx.level as f64) / (ctx.level as f64 + 16.0), f[1], f[2]];
         let fire = self.tree.predict(&row) >= self.threshold;
         if fire {
-            self.expanded += 1;
+            self.counters[1].fetch_add(1, Ordering::Relaxed);
         }
         fire
     }
@@ -126,7 +129,7 @@ impl<P: BacktrackPolicy> BacktrackPolicy for GatedPolicy<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use telamalloc::{ConflictGuidedPolicy, NullObserver, TelaConfig};
+    use telamalloc::{Backtrack, ConflictGuidedPolicy, TelaConfig};
 
     fn sample(level: f64, backtracks_to_here: f64, subtree: f64) -> Sample {
         Sample {
@@ -190,17 +193,16 @@ mod tests {
     #[test]
     fn gated_policy_runs_end_to_end() {
         let samples: Vec<Sample> = (0..40).map(|i| sample(i as f64, 1.0, 10.0)).collect();
-        let mut gate = GatedPolicy::train(&samples, ConflictGuidedPolicy).with_threshold(0.9);
+        let gate = GatedPolicy::train(&samples, ConflictGuidedPolicy).with_threshold(0.9);
+        let handle = gate.clone();
+        let config = TelaConfig {
+            backtrack: Backtrack::custom(move || handle.clone()),
+            ..TelaConfig::default()
+        };
         let p = tela_model::examples::figure1();
-        let mut obs = NullObserver;
-        let r = telamalloc::solve_with(
-            &p,
-            &tela_model::Budget::steps(100_000),
-            &TelaConfig::default(),
-            &mut gate,
-            &mut obs,
-        );
+        let r = telamalloc::solve(&p, &tela_model::Budget::steps(100_000), &config);
         assert!(r.outcome.is_solved());
+        // The run's clone counted into the counters it shares with `gate`.
         assert!(gate.stats().0 > 0);
     }
 }

@@ -7,6 +7,8 @@
 //! unless no score clears the confidence threshold, in which case it
 //! falls back to staying put and trying all unplaced buffers.
 
+use std::sync::Arc;
+
 use telamalloc::{BacktrackChoice, BacktrackContext, BacktrackPolicy};
 
 use crate::gbt::Gbt;
@@ -14,7 +16,8 @@ use crate::gbt::Gbt;
 /// A [`BacktrackPolicy`] driven by a trained [`Gbt`] score model.
 #[derive(Debug, Clone)]
 pub struct LearnedPolicy {
-    model: Gbt,
+    /// Shared, so the per-run clones a configuration builds are cheap.
+    model: Arc<Gbt>,
     /// Minimum (depth-weighted) score required to act on the model's
     /// choice; below it, fall back to the default strategy (§6.5).
     threshold: f64,
@@ -28,7 +31,7 @@ impl LearnedPolicy {
     /// Wraps a trained model with the default threshold.
     pub fn new(model: Gbt) -> Self {
         LearnedPolicy {
-            model,
+            model: Arc::new(model),
             threshold: Self::DEFAULT_THRESHOLD,
         }
     }

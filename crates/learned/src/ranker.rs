@@ -209,15 +209,6 @@ pub fn save_ranker(ranker: &PortfolioRanker, path: &std::path::Path) -> std::io:
     std::fs::write(path, ranker.to_text())
 }
 
-/// Loads a ranker from disk.
-///
-/// # Errors
-///
-/// Returns the I/O or parse failure as a boxed error.
-pub fn load_ranker(path: &std::path::Path) -> Result<PortfolioRanker, Box<dyn std::error::Error>> {
-    Ok(PortfolioRanker::from_text(&std::fs::read_to_string(path)?)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

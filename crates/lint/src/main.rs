@@ -1,5 +1,5 @@
-//! CLI for `tela-lint`. Exit codes: 0 clean, 1 violations, stale or
-//! missing baseline, 2 usage/setup error (including a malformed
+//! CLI for `tela-lint`. Exit codes: 0 clean, 1 new violations or a
+//! stale baseline, 2 usage/setup error (including a missing or malformed
 //! baseline).
 
 use std::path::PathBuf;
@@ -188,7 +188,7 @@ fn check(args: &[String]) -> ExitCode {
                  create the ratchet",
                 baseline_path.display()
             );
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
 

@@ -1,5 +1,5 @@
-//! The `tela-lint` CLI answers a malformed baseline with status 2 and
-//! the JSON codec's message. A baseline nested past `MAX_DEPTH` used to
+//! The `tela-lint` CLI answers a missing baseline with status 2, and a
+//! malformed one with status 2 and the JSON codec's message. A baseline nested past `MAX_DEPTH` used to
 //! overflow the parser's stack and abort the process.
 
 use std::path::PathBuf;
@@ -67,4 +67,13 @@ fn a_malformed_baseline_exits_2_and_a_valid_one_passes() {
     let workspace = Workspace::new("clean", "{\"version\":1,\"rules\":{}}");
     let (code, stderr) = workspace.check();
     assert_eq!(code, Some(0), "{stderr}");
+}
+
+#[test]
+fn a_missing_baseline_exits_2() {
+    let workspace = Workspace::new("missing", "");
+    std::fs::remove_file(workspace.0.join("lint-baseline.json")).unwrap();
+    let (code, stderr) = workspace.check();
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("no baseline at"), "{stderr}");
 }

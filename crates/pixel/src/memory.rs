@@ -183,11 +183,6 @@ impl Lowered {
             scratchpad_bytes,
         )
     }
-
-    /// Total bytes of the lowered buffer set (ignoring liveness).
-    pub fn total_bytes(&self) -> u64 {
-        self.buffers.iter().map(|b| b.buffer.size()).sum()
-    }
 }
 
 #[cfg(test)]

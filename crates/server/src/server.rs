@@ -859,9 +859,9 @@ impl Server {
         object(map)
     }
 
-    /// The metrics registry as JSON: counters and gauges as numbers
-    /// (gauges clamp at zero — the wire format has no negatives),
-    /// histograms as `{count, sum, min, max, p50, p90, p99}` objects.
+    /// The metrics registry as JSON: counters and gauges as numbers (a
+    /// negative gauge stays negative, as in the trace JSONL), histograms
+    /// as `{count, sum, min, max, p50, p90, p99}` objects.
     /// Empty when the server runs without a tracer.
     fn metrics_snapshot(&self) -> Value {
         let mut map = BTreeMap::new();
@@ -871,7 +871,10 @@ impl Server {
         for entry in trace.metrics {
             let value = match entry.value {
                 MetricValue::Counter(v) => Value::U64(v),
-                MetricValue::Gauge(v) => Value::U64(v.max(0) as u64),
+                MetricValue::Gauge(v) => match u64::try_from(v) {
+                    Ok(v) => Value::U64(v),
+                    Err(_) => Value::I64(v),
+                },
                 MetricValue::Histogram(h) => {
                     let mut hist = BTreeMap::new();
                     hist.insert("count".to_string(), Value::U64(h.count));

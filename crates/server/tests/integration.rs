@@ -342,6 +342,27 @@ fn traced_server() -> Server {
 }
 
 #[test]
+fn stats_command_reports_negative_gauges() {
+    let tracer = tela_trace::Tracer::wall();
+    let server = Server::new(ServerConfig {
+        tela: telamalloc::TelaConfig {
+            tracer: tracer.clone(),
+            ..telamalloc::TelaConfig::default()
+        },
+        ..ServerConfig::default()
+    });
+    with_server(server, |addr, _| {
+        tracer.add_gauge("server.queue_depth", -3);
+        let snapshot = Client::connect(addr).unwrap().stats().unwrap();
+        let metrics = snapshot
+            .get("stats")
+            .and_then(|stats| stats.get("metrics"))
+            .expect("metrics object");
+        assert_eq!(metrics.get("server.queue_depth"), Some(&Value::I64(-3)));
+    });
+}
+
+#[test]
 fn stats_command_reports_counters_quantiles_and_tenants() {
     with_server(traced_server(), |addr, server| {
         let mut client = Client::connect(addr).unwrap();

@@ -7,7 +7,7 @@
 use tela_learned::{train_policy, TrainOptions};
 use tela_model::{Budget, Problem};
 use tela_workloads::sweep::certified_solvable;
-use telamalloc::{solve, solve_with, BacktrackPolicy, NullObserver, TelaConfig};
+use telamalloc::{solve, Backtrack, TelaConfig};
 
 fn main() {
     // Train on a handful of certified-solvable tight instances.
@@ -28,19 +28,15 @@ fn main() {
 
     // Evaluate on unseen instances.
     let config = TelaConfig::default();
+    let ml_config = TelaConfig {
+        backtrack: Backtrack::custom(move || policy.clone()),
+        ..TelaConfig::default()
+    };
     for seed in [10u64, 39, 53] {
         let problem = certified_solvable(seed);
         let budget = Budget::steps(50_000);
         let base = solve(&problem, &budget, &config);
-        let mut p = policy.clone();
-        let mut obs = NullObserver;
-        let ml = solve_with(
-            &problem,
-            &budget,
-            &config,
-            &mut p as &mut dyn BacktrackPolicy,
-            &mut obs,
-        );
+        let ml = solve(&problem, &budget, &ml_config);
         println!(
             "instance {seed}: default {} backtracks ({}), learned {} backtracks ({})",
             base.stats.total_backtracks(),

@@ -6,7 +6,7 @@ use tela_learned::persist::{load_model, save_model};
 use tela_learned::{collect_samples, CollectConfig, GatedPolicy, Gbt, GbtParams, LearnedPolicy};
 use tela_model::{Budget, SolveOutcome};
 use tela_workloads::sweep::certified_solvable;
-use telamalloc::{solve_with, BacktrackPolicy, NullObserver, TelaConfig};
+use telamalloc::{solve, Backtrack, TelaConfig};
 
 fn quick_collect() -> Vec<tela_learned::Sample> {
     let config = CollectConfig {
@@ -54,16 +54,13 @@ fn frozen_policy_round_trips_and_runs() {
 
     // Deploy: learned backtracking inside the step gate.
     let policy = LearnedPolicy::new(restored);
-    let mut gated = GatedPolicy::train(&samples, policy);
+    let gated = GatedPolicy::train(&samples, policy);
+    let config = TelaConfig {
+        backtrack: Backtrack::custom(move || gated.clone()),
+        ..TelaConfig::default()
+    };
     let problem = certified_solvable(777);
-    let mut obs = NullObserver;
-    let result = solve_with(
-        &problem,
-        &Budget::steps(20_000),
-        &TelaConfig::default(),
-        &mut gated as &mut dyn BacktrackPolicy,
-        &mut obs,
-    );
+    let result = solve(&problem, &Budget::steps(20_000), &config);
     match result.outcome {
         SolveOutcome::Solved(s) => assert!(s.validate(&problem).is_ok()),
         SolveOutcome::Infeasible => panic!("certified instances are solvable"),

@@ -2,9 +2,9 @@
 //! backtrack policy, across the workspace crates.
 
 use tela_learned::{collect_samples, train_policy_from_samples, CollectConfig, GbtParams};
-use tela_model::Budget;
+use tela_model::{Budget, ResilienceStage, SolveOutcome};
 use tela_workloads::sweep::certified_solvable;
-use telamalloc::{solve_with, BacktrackPolicy, NullObserver, TelaConfig};
+use telamalloc::{solve, Backtrack, EscalationLadder, TelaConfig};
 
 /// Harvest samples from a couple of tight certified instances.
 fn harvest() -> Vec<tela_learned::Sample> {
@@ -52,17 +52,40 @@ fn trained_policy_runs_in_the_search() {
 
     // Deploy on an unseen instance; the search must stay sound.
     let problem = certified_solvable(999);
-    let mut p = policy;
-    let mut obs = NullObserver;
-    let result = solve_with(
-        &problem,
-        &Budget::steps(30_000),
-        &TelaConfig::default(),
-        &mut p as &mut dyn BacktrackPolicy,
-        &mut obs,
-    );
+    let config = TelaConfig {
+        backtrack: Backtrack::custom(move || policy.clone()),
+        ..TelaConfig::default()
+    };
+    let result = solve(&problem, &Budget::steps(30_000), &config);
     if let Some(s) = result.outcome.solution() {
         assert!(s.validate(&problem).is_ok());
+    }
+}
+
+#[test]
+fn trained_policy_runs_through_the_escalation_ladder() {
+    let samples = harvest();
+    let params = GbtParams {
+        n_trees: 20,
+        ..GbtParams::default()
+    };
+    let policy = train_policy_from_samples(&samples, &params);
+
+    // The ladder's portfolio runs the learned policy as its first
+    // variant. Instance 0 defeats greedy and needs major backtracks, so
+    // the model is consulted; whatever the ladder answers must validate.
+    let problem = certified_solvable(0);
+    let ladder = EscalationLadder::new(TelaConfig {
+        backtrack: Backtrack::custom(move || policy.clone()),
+        ..TelaConfig::default()
+    });
+    let result = ladder.solve(&problem, &Budget::steps(30_000));
+    assert_eq!(result.stage, ResilienceStage::Portfolio);
+    assert!(result.stats.major_backtracks > 0);
+    match &result.outcome {
+        SolveOutcome::Solved(solution) => assert!(solution.validate(&problem).is_ok()),
+        SolveOutcome::BestEffort(best) => assert!(best.partial.validate(&problem).is_ok()),
+        other => panic!("certified instance answered {}", other.label()),
     }
 }
 
@@ -77,17 +100,11 @@ fn learned_policy_is_deterministic_after_training() {
     };
     let policy = train_policy_from_samples(&samples, &params);
     let problem = certified_solvable(7);
-    let run = || {
-        let mut p = policy.clone();
-        let mut obs = NullObserver;
-        solve_with(
-            &problem,
-            &Budget::steps(20_000),
-            &TelaConfig::default(),
-            &mut p as &mut dyn BacktrackPolicy,
-            &mut obs,
-        )
+    let config = TelaConfig {
+        backtrack: Backtrack::custom(move || policy.clone()),
+        ..TelaConfig::default()
     };
+    let run = || solve(&problem, &Budget::steps(20_000), &config);
     let a = run();
     let b = run();
     assert_eq!(a.outcome, b.outcome);
