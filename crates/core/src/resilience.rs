@@ -29,8 +29,8 @@ use std::time::{Duration, Instant};
 
 use tela_audit::Certificate;
 use tela_model::{
-    BestEffort, Budget, BufferId, PartialSolution, Problem, ResilienceStage, SolveOutcome,
-    SolveStats,
+    BestEffort, Budget, BufferId, PartialSolution, Problem, ResilienceStage, Solution,
+    SolveOutcome, SolveStats,
 };
 
 use crate::backtrack::PlacedDecision;
@@ -190,6 +190,19 @@ impl EscalationLadder {
         result
     }
 
+    /// The ladder's fast path on its own: the greedy heuristic,
+    /// isolated like any other worker (a panic in it counts as a miss),
+    /// recording into the configured tracer. Returns the placement only
+    /// when it validates against `problem`.
+    pub fn greedy(&self, problem: &Problem) -> Option<Solution> {
+        let heuristic =
+            catch_panics(|| tela_heuristics::greedy::solve_traced(problem, &self.config.tracer))
+                .ok()?;
+        heuristic
+            .solution
+            .filter(|solution| solution.validate(problem).is_ok())
+    }
+
     fn run_ladder(
         &self,
         problem: Problem,
@@ -214,41 +227,34 @@ impl EscalationLadder {
                 ResilienceStage::SpillRetry { round }
             };
 
-            // Fast path: the greedy heuristic, isolated like any other
-            // worker — a panic in it merely skips to the portfolio.
-            let greedy = catch_panics(|| tela_heuristics::greedy::solve_traced(&current, tracer));
-            if let Ok(heuristic) = greedy {
-                if let Some(solution) = heuristic.solution {
-                    if solution.validate(&current).is_ok() {
-                        if tracer.enabled() {
-                            tracer.count("ladder.greedy_wins", 1);
-                            tracer.instant(
-                                "ladder",
-                                "greedy_solved",
-                                vec![("round".into(), u64::from(round).into())],
-                            );
-                        }
-                        let stage = if round == 0 {
-                            ResilienceStage::Heuristic
-                        } else {
-                            stage_id
-                        };
-                        stages.push(StageReport {
-                            stage,
-                            outcome: SolveOutcome::Solved(solution.clone()),
-                            stats: SolveStats::default(),
-                        });
-                        return LadderResult {
-                            outcome: SolveOutcome::Solved(solution),
-                            problem: current,
-                            spill_rounds: round,
-                            stage,
-                            stages,
-                            stats: agg,
-                            certificate: None,
-                        };
-                    }
+            if let Some(solution) = self.greedy(&current) {
+                if tracer.enabled() {
+                    tracer.count("ladder.greedy_wins", 1);
+                    tracer.instant(
+                        "ladder",
+                        "greedy_solved",
+                        vec![("round".into(), u64::from(round).into())],
+                    );
                 }
+                let stage = if round == 0 {
+                    ResilienceStage::Heuristic
+                } else {
+                    stage_id
+                };
+                stages.push(StageReport {
+                    stage,
+                    outcome: SolveOutcome::Solved(solution.clone()),
+                    stats: SolveStats::default(),
+                });
+                return LadderResult {
+                    outcome: SolveOutcome::Solved(solution),
+                    problem: current,
+                    spill_rounds: round,
+                    stage,
+                    stages,
+                    stats: agg,
+                    certificate: None,
+                };
             }
 
             deepest = stage_id;
@@ -485,6 +491,15 @@ mod tests {
         assert!(result.outcome.is_solved());
         assert_eq!(result.stage, ResilienceStage::Heuristic);
         assert_eq!(result.spill_rounds, 0);
+    }
+
+    #[test]
+    fn greedy_stage_alone_returns_only_validated_placements() {
+        let tiny = examples::tiny();
+        let solution = ladder().greedy(&tiny).expect("greedy packs tiny");
+        assert!(solution.validate(&tiny).is_ok());
+        // Figure 1 defeats the greedy heuristic.
+        assert!(ladder().greedy(&examples::figure1()).is_none());
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!   that sheds on overflow with `Rejected { retry_after_ms }` instead
 //!   of queuing unboundedly;
 //! - **graceful degradation**: at queue saturation, new work is
-//!   answered inline by the greedy heuristic (`BestEffort`/`Solved`)
-//!   rather than waiting for ladder capacity that is not coming, and
-//!   solution-cache hits are served unconditionally;
+//!   answered inline by the ladder's validated greedy stage
+//!   (`BestEffort`/`Solved`) rather than waiting for ladder capacity
+//!   that is not coming, and solution-cache hits are served
+//!   unconditionally;
 //! - **fault tolerance**: panic-isolated workers that answer
 //!   terminally *before* dying and are respawned by a supervisor,
 //!   client-disconnect cancellation wired into the solver's
@@ -28,7 +29,9 @@
 //!
 //! The invariant every layer upholds: **every request receives exactly
 //! one terminal response** (`solved`, `infeasible`, `best_effort`,
-//! `rejected`, or `timed_out`). See `DESIGN.md` §10.
+//! `rejected`, or `timed_out`), counted in [`ServerStats`], the one
+//! store of server counts, whether or not tracing is on. See
+//! `DESIGN.md` §10.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -11,10 +11,11 @@
 //! a positive value runs a timed session and prints a stats summary —
 //! which is how the CI smoke drives it.
 //!
-//! `TELA_TRACE=1` (wall clock) opts the shared pipeline into tracing:
-//! the `stats` command then reports mirrored response counters and
-//! histogram quantiles from the live metrics registry, and the `trace`
-//! command returns a span rollup. Off by default — a shared tracer's
+//! The `stats` command reports the server's counters whether or not
+//! tracing is on. `TELA_TRACE=1` (wall clock) opts the shared pipeline
+//! into tracing as well: `stats` then adds the solver's metrics and
+//! histogram quantiles from the live registry, and the `trace` command
+//! returns a span rollup. Off by default — a shared tracer's
 //! event buffer grows for the life of the process. Per-request tracing
 //! (`"trace": true` on a solve request) works either way.
 
@@ -75,7 +76,7 @@ fn main() -> std::io::Result<()> {
         stats.best_effort.load(Ordering::Relaxed),
         stats.rejected.load(Ordering::Relaxed),
         stats.timed_out.load(Ordering::Relaxed),
-        stats.cache_hits.load(Ordering::Relaxed),
+        server.cache().hits(),
         stats.shed.load(Ordering::Relaxed),
         stats.degraded.load(Ordering::Relaxed),
         stats.worker_respawns.load(Ordering::Relaxed),

@@ -18,7 +18,7 @@
 //!                    │ miss
 //!                 admission (token bucket) ──deny──────────→ Rejected{retry_after}
 //!                    │ grant (clamp steps/deadline to tenant quota)
-//!                 saturated? ──yes── greedy only ──────────→ Solved | BestEffort
+//!                 saturated? ──yes── ladder's greedy stage ─→ Solved | BestEffort
 //!                    │ no
 //!                 bounded EDF queue ──shed────────────────→ Rejected{retry_after}
 //!                    │ pop (worker)
@@ -45,6 +45,7 @@ use crate::protocol::{
     Status,
 };
 use crate::queue::{Pop, Push, WorkQueue};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
@@ -81,7 +82,8 @@ pub struct ServerConfig {
     /// Default per-tenant limits (overridable per tenant).
     pub admission: TenantConfig,
     /// Solver configuration for the escalation ladder; its tracer also
-    /// carries the server's own metrics.
+    /// records the server's request spans. Server counts live in
+    /// [`ServerStats`] whether or not a tracer is on.
     pub tela: TelaConfig,
     /// Scripted server-level faults (chaos testing only).
     #[cfg(feature = "fault-inject")]
@@ -104,7 +106,9 @@ impl Default for ServerConfig {
     }
 }
 
-/// Monotonic counters describing everything the server has done.
+/// Monotonic counters describing everything the server has done: the
+/// one store of server counts, always on. Cache hits and misses live in
+/// [`SolutionCache`], queue depth in the queue.
 #[derive(Debug, Default)]
 pub struct ServerStats {
     /// Terminal responses issued, total and by status.
@@ -119,8 +123,6 @@ pub struct ServerStats {
     pub rejected: AtomicU64,
     /// `TimedOut` responses.
     pub timed_out: AtomicU64,
-    /// Responses served from the solution cache.
-    pub cache_hits: AtomicU64,
     /// Jobs evicted by queue overflow.
     pub shed: AtomicU64,
     /// Admitted requests degraded to greedy-only under saturation.
@@ -134,6 +136,10 @@ pub struct ServerStats {
     /// Connections refused at accept because `max_connections` was
     /// reached (each also counts one `Rejected` response).
     pub conn_refused: AtomicU64,
+    /// Failed `accept` calls (the loop sleeps and keeps serving).
+    pub accept_errors: AtomicU64,
+    /// `stats`/`trace` commands answered.
+    pub introspections: AtomicU64,
 }
 
 impl ServerStats {
@@ -147,9 +153,6 @@ impl ServerStats {
             Status::TimedOut => &self.timed_out,
         };
         by_status.fetch_add(1, Ordering::Relaxed);
-        if response.cache_hit {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Sum of the per-status counters (must equal `responses`: the
@@ -259,7 +262,6 @@ impl Server {
                         {
                             self.connections.fetch_sub(1, Ordering::AcqRel);
                             self.stats.conn_refused.fetch_add(1, Ordering::Relaxed);
-                            self.tracer().count("server.conn_refused", 1);
                             // Short write timeout: the refusal must not
                             // let a slow client stall the accept loop.
                             let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
@@ -285,7 +287,7 @@ impl Server {
                     Err(_) => {
                         // Accept failures (fd exhaustion, transient
                         // network errors) must not kill the service.
-                        self.tracer().count("server.accept_errors", 1);
+                        self.stats.accept_errors.fetch_add(1, Ordering::Relaxed);
                         std::thread::sleep(Duration::from_millis(10));
                     }
                 }
@@ -293,16 +295,10 @@ impl Server {
             // Drain: everything still queued gets an honest rejection
             // instead of silence. Workers observe the closed queue and
             // exit once their in-flight job (if any) is answered.
-            let drained = self.queue.close();
-            let count = drained.len();
-            for job in drained {
+            for job in self.queue.close() {
                 let _ = job
                     .reply
                     .send(Response::rejected(job.id, 1_000, "server shutting down"));
-            }
-            if count > 0 {
-                self.tracer()
-                    .add_gauge("server.queue_depth", -(count as i64));
             }
         });
         Ok(())
@@ -323,7 +319,6 @@ impl Server {
                 Ok(()) => return,
                 Err(_) => {
                     self.stats.worker_respawns.fetch_add(1, Ordering::Relaxed);
-                    self.tracer().count("server.worker_respawns", 1);
                 }
             }
         }
@@ -334,10 +329,7 @@ impl Server {
             match self.queue.pop_timeout(POLL) {
                 Pop::Closed => return,
                 Pop::Empty => continue,
-                Pop::Item(job) => {
-                    self.tracer().add_gauge("server.queue_depth", -1);
-                    self.process_job(job);
-                }
+                Pop::Item(job) => self.process_job(job),
             }
         }
     }
@@ -378,71 +370,10 @@ impl Server {
         }
         let budget = self.budget_for(&job);
         self.stats.solve_calls.fetch_add(1, Ordering::Relaxed);
-        self.tracer().count("server.solve_calls", 1);
-        // A traced request solves on its own ladder wired to its own
-        // tracer; everyone else shares the server's ladder.
-        let traced_ladder;
-        let ladder = match &job.tracer {
-            Some(tracer) => {
-                traced_ladder = EscalationLadder::new(TelaConfig {
-                    tracer: tracer.clone(),
-                    ..self.config.tela.clone()
-                });
-                &traced_ladder
-            }
-            None => &self.ladder,
-        };
+        let ladder = self.ladder_for(job.tracer.as_ref());
         let result = catch_unwind(AssertUnwindSafe(|| ladder.solve(&job.problem, &budget)));
         let response = match result {
-            Ok(ladder) => {
-                let steps = ladder.stats.steps;
-                match ladder.outcome {
-                    SolveOutcome::Solved(solution) => {
-                        self.cache.insert(&job.form, &solution);
-                        Response {
-                            id: job.id,
-                            status: Status::Solved,
-                            addresses: Some(solution.addresses().to_vec()),
-                            retry_after_ms: None,
-                            detail: String::new(),
-                            cache_hit: false,
-                            steps,
-                            trace_jsonl: None,
-                        }
-                    }
-                    SolveOutcome::Infeasible => Response {
-                        steps,
-                        ..Response::terminal(job.id, Status::Infeasible, "proven infeasible")
-                    },
-                    SolveOutcome::BestEffort(be) => {
-                        let (status, detail) = if Instant::now() >= job.deadline {
-                            (Status::TimedOut, "deadline expired mid-solve".to_string())
-                        } else if job.cancel.load(Ordering::Acquire) {
-                            (Status::BestEffort, "cancelled by client".to_string())
-                        } else {
-                            (
-                                Status::BestEffort,
-                                format!(
-                                    "budget exhausted at stage {:?}; {} of {} buffers placed",
-                                    be.stage,
-                                    be.partial.len(),
-                                    job.problem.len()
-                                ),
-                            )
-                        };
-                        Response {
-                            steps,
-                            ..Response::terminal(job.id, status, detail)
-                        }
-                    }
-                    // The ladder contract says these never surface, but
-                    // a terminal answer beats trusting a contract.
-                    SolveOutcome::GaveUp | SolveOutcome::BudgetExceeded => Response {
-                        steps,
-                        ..Response::terminal(job.id, Status::BestEffort, "solver gave up")
-                    },
-                }
-            }
+            Ok(result) => self.answer(&job, result.outcome, result.stats.steps),
             Err(payload) => {
                 self.send(
                     &job.reply,
@@ -459,6 +390,65 @@ impl Server {
             }
         };
         self.send(&job.reply, attach_trace(job.tracer.as_ref(), response));
+    }
+
+    /// The ladder a job solves on: a traced request gets its own, wired
+    /// to its own tracer; everyone else shares the server's.
+    fn ladder_for(&self, tracer: Option<&Tracer>) -> Cow<'_, EscalationLadder> {
+        match tracer {
+            Some(tracer) => Cow::Owned(EscalationLadder::new(TelaConfig {
+                tracer: tracer.clone(),
+                ..self.config.tela.clone()
+            })),
+            None => Cow::Borrowed(&self.ladder),
+        }
+    }
+
+    /// The terminal response for a finished solve of `job`, for both the
+    /// worker and the saturated path. A solved placement is cached
+    /// before it is returned.
+    fn answer(&self, job: &Job, outcome: SolveOutcome, steps: u64) -> Response {
+        let (status, detail) = match outcome {
+            SolveOutcome::Solved(solution) => {
+                self.cache.insert(&job.form, &solution);
+                return Response {
+                    id: job.id,
+                    status: Status::Solved,
+                    addresses: Some(solution.addresses().to_vec()),
+                    retry_after_ms: None,
+                    detail: String::new(),
+                    cache_hit: false,
+                    steps,
+                    trace_jsonl: None,
+                };
+            }
+            SolveOutcome::Infeasible => (Status::Infeasible, "proven infeasible".to_string()),
+            SolveOutcome::BestEffort(_) if Instant::now() >= job.deadline => {
+                (Status::TimedOut, "deadline expired mid-solve".to_string())
+            }
+            SolveOutcome::BestEffort(_) if job.cancel.load(Ordering::Acquire) => {
+                (Status::BestEffort, "cancelled by client".to_string())
+            }
+            SolveOutcome::BestEffort(be) => (
+                Status::BestEffort,
+                format!(
+                    "budget exhausted at stage {:?}; {} of {} buffers placed",
+                    be.stage,
+                    be.partial.len(),
+                    job.problem.len()
+                ),
+            ),
+            // A greedy miss on the saturated path. The full ladder's
+            // contract says these never surface from it, but a terminal
+            // answer beats trusting a contract.
+            SolveOutcome::GaveUp | SolveOutcome::BudgetExceeded => {
+                (Status::BestEffort, "solver gave up".to_string())
+            }
+        };
+        Response {
+            steps,
+            ..Response::terminal(job.id, status, detail)
+        }
     }
 
     fn budget_for(&self, job: &Job) -> Budget {
@@ -596,26 +586,11 @@ impl Server {
                 &request.tenant,
                 request.deadline_ms.map(Duration::from_millis),
             );
-        let ordinal = self.ordinal.fetch_add(1, Ordering::Relaxed);
-
-        // Graceful degradation: when the queue is saturated, admitted
-        // work gets the greedy heuristic inline instead of a spot in
-        // line it would mostly spend timing out.
-        if self.queue.depth() >= self.config.degrade_watermark {
-            self.stats.degraded.fetch_add(1, Ordering::Relaxed);
-            self.tracer().count("server.degraded", 1);
-            let response =
-                self.solve_degraded(request.id, &problem, &form, request_tracer.as_ref());
-            self.reply(stream, attach_trace(request_tracer.as_ref(), response));
-            self.end_request(&tracer, span, "degraded");
-            return;
-        }
-
         let cancel = Arc::new(AtomicBool::new(false));
         let (reply_tx, reply_rx) = mpsc::channel();
         let job = Job {
             id: request.id,
-            ordinal,
+            ordinal: self.ordinal.fetch_add(1, Ordering::Relaxed),
             problem,
             form,
             max_steps,
@@ -624,13 +599,29 @@ impl Server {
             tracer: request_tracer,
             reply: reply_tx,
         };
+
+        // Graceful degradation: when the queue is saturated, admitted
+        // work gets the ladder's greedy stage inline instead of a spot
+        // in line it would mostly spend timing out.
+        if self.queue.depth() >= self.config.degrade_watermark {
+            self.stats.degraded.fetch_add(1, Ordering::Relaxed);
+            let outcome = match self.ladder_for(job.tracer.as_ref()).greedy(&job.problem) {
+                Some(solution) => SolveOutcome::Solved(solution),
+                None => SolveOutcome::GaveUp,
+            };
+            let response = Response {
+                detail: "degraded: greedy-only under load".to_string(),
+                ..self.answer(&job, outcome, 0)
+            };
+            self.reply(stream, attach_trace(job.tracer.as_ref(), response));
+            self.end_request(&tracer, span, "degraded");
+            return;
+        }
+
         match self.queue.push(job, deadline) {
-            Push::Accepted => {
-                self.tracer().add_gauge("server.queue_depth", 1);
-            }
+            Push::Accepted => {}
             Push::Shed(shed) => {
                 self.stats.shed.fetch_add(1, Ordering::Relaxed);
-                self.tracer().count("server.shed", 1);
                 let _ = shed.reply.send(Response::rejected(
                     shed.id,
                     self.retry_hint_ms(),
@@ -661,7 +652,6 @@ impl Server {
                     if let Ok(0) = stream.peek(&mut probe) {
                         if !cancel.swap(true, Ordering::Release) {
                             self.stats.disconnects.fetch_add(1, Ordering::Relaxed);
-                            self.tracer().count("server.disconnects", 1);
                         }
                     }
                 }
@@ -681,43 +671,6 @@ impl Server {
         self.end_request(&tracer, span, tag);
     }
 
-    /// The saturated-path answer: one greedy pass, no queue, no ladder.
-    /// A traced request's greedy pass records into its own tracer.
-    fn solve_degraded(
-        &self,
-        id: u64,
-        problem: &Problem,
-        form: &CanonicalForm,
-        request_tracer: Option<&Tracer>,
-    ) -> Response {
-        let greedy =
-            tela_heuristics::greedy::solve_traced(problem, request_tracer.unwrap_or(self.tracer()));
-        match greedy.solution {
-            Some(solution) => {
-                self.cache.insert(form, &solution);
-                Response {
-                    id,
-                    status: Status::Solved,
-                    addresses: Some(solution.addresses().to_vec()),
-                    retry_after_ms: None,
-                    detail: "degraded: greedy-only under load".to_string(),
-                    cache_hit: false,
-                    steps: 0,
-                    trace_jsonl: None,
-                }
-            }
-            None => Response::terminal(
-                id,
-                Status::BestEffort,
-                format!(
-                    "degraded under load: greedy needs {} of {} capacity",
-                    greedy.peak,
-                    problem.capacity()
-                ),
-            ),
-        }
-    }
-
     /// Backpressure hint after a shed: roughly one queue-drain's worth
     /// of time per queued entry, floored at 50ms.
     fn retry_hint_ms(&self) -> u64 {
@@ -727,38 +680,10 @@ impl Server {
     /// Writes a terminal response and records it. Write errors are
     /// swallowed: a vanished client doesn't un-terminate the request.
     fn reply(&self, stream: &mut TcpStream, response: Response) {
-        self.send_to_stream(stream, &response);
-    }
-
-    fn send_to_stream(&self, stream: &mut TcpStream, response: &Response) {
-        self.stats.record(response);
-        self.mirror_response(response);
-        let payload = crate::protocol::render_response(response);
+        self.stats.record(&response);
+        let payload = crate::protocol::render_response(&response);
         let _ = write_frame(stream, &payload);
         let _ = stream.flush();
-    }
-
-    /// Mirrors the response into the metrics registry so the `stats`
-    /// command and the JSONL dump agree with [`ServerStats`]'s atomics
-    /// (`server.responses` equals `terminal_total()` by construction:
-    /// both are bumped on exactly the same send).
-    fn mirror_response(&self, response: &Response) {
-        let tracer = self.tracer();
-        if !tracer.enabled() {
-            return;
-        }
-        tracer.count("server.responses", 1);
-        let by_status = match response.status {
-            Status::Solved => "server.responses.solved",
-            Status::Infeasible => "server.responses.infeasible",
-            Status::BestEffort => "server.responses.best_effort",
-            Status::Rejected => "server.responses.rejected",
-            Status::TimedOut => "server.responses.timed_out",
-        };
-        tracer.count(by_status, 1);
-        if response.cache_hit {
-            tracer.count("server.cache_hits", 1);
-        }
     }
 
     /// Sends a terminal response through a job's reply channel (the
@@ -785,7 +710,7 @@ impl Server {
     /// [`ServerStats::record`] so introspection never perturbs the
     /// one-terminal-response accounting it reports on.
     fn serve_command(&self, stream: &mut TcpStream, command: &Command) {
-        self.tracer().count("server.introspections", 1);
+        self.stats.introspections.fetch_add(1, Ordering::Relaxed);
         let body = match command.kind {
             CommandKind::Stats => ("stats".to_string(), self.stats_snapshot()),
             CommandKind::Trace => ("trace".to_string(), self.trace_snapshot()),
@@ -842,6 +767,8 @@ impl Server {
             ("conn_refused", &self.stats.conn_refused),
             ("disconnects", &self.stats.disconnects),
             ("solve_calls", &self.stats.solve_calls),
+            ("accept_errors", &self.stats.accept_errors),
+            ("introspections", &self.stats.introspections),
         ] {
             map.insert(key.to_string(), Value::U64(load(counter)));
         }

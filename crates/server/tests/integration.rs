@@ -98,7 +98,7 @@ fn warm_cache_answers_without_entering_the_solve_path() {
             server.stats().solve_calls.load(Ordering::Relaxed),
             solves_after_cold
         );
-        assert_eq!(server.stats().cache_hits.load(Ordering::Relaxed), 3);
+        assert_eq!(server.cache().hits(), 3);
     });
 }
 
@@ -228,6 +228,42 @@ fn saturation_degrades_to_greedy_with_a_terminal_answer() {
 }
 
 #[test]
+fn saturated_path_answers_with_a_validated_cached_greedy_placement() {
+    let server = Server::new(ServerConfig {
+        degrade_watermark: 0,
+        ..ServerConfig::default()
+    });
+    with_server(server, |addr, server| {
+        let mut client = Client::connect(addr).unwrap();
+        let problem = unique_problem(60);
+        let response = client.request(&request(1, &problem)).unwrap();
+        assert_eq!(response.status, Status::Solved);
+        assert!(!response.cache_hit);
+        let solution = Solution::new(response.addresses.unwrap());
+        assert!(solution.validate(&problem).is_ok());
+        assert_eq!(server.stats().solve_calls.load(Ordering::Relaxed), 0);
+
+        // The greedy placement was cached: a renamed, shifted repeat is
+        // a hit and never reaches the saturated path again.
+        let mut renamed: Vec<Buffer> = problem
+            .buffers()
+            .iter()
+            .map(|b| Buffer::new(b.start() + 3, b.end() + 3, b.size()))
+            .collect();
+        renamed.reverse();
+        let renamed = Problem::new(renamed, problem.capacity()).unwrap();
+        let warm = client.request(&request(2, &renamed)).unwrap();
+        assert_eq!(warm.status, Status::Solved);
+        assert!(warm.cache_hit);
+        assert!(Solution::new(warm.addresses.unwrap())
+            .validate(&renamed)
+            .is_ok());
+        assert_eq!(server.stats().degraded.load(Ordering::Relaxed), 1);
+        assert_eq!(server.stats().solve_calls.load(Ordering::Relaxed), 0);
+    });
+}
+
+#[test]
 fn thirty_two_concurrent_clients_all_get_terminal_answers() {
     const CLIENTS: u64 = 32;
     const PER_CLIENT: u64 = 4;
@@ -352,13 +388,13 @@ fn stats_command_reports_negative_gauges() {
         ..ServerConfig::default()
     });
     with_server(server, |addr, _| {
-        tracer.add_gauge("server.queue_depth", -3);
+        tracer.add_gauge("test.gauge", -3);
         let snapshot = Client::connect(addr).unwrap().stats().unwrap();
         let metrics = snapshot
             .get("stats")
             .and_then(|stats| stats.get("metrics"))
             .expect("metrics object");
-        assert_eq!(metrics.get("server.queue_depth"), Some(&Value::I64(-3)));
+        assert_eq!(metrics.get("test.gauge"), Some(&Value::I64(-3)));
     });
 }
 
@@ -392,26 +428,19 @@ fn stats_command_reports_counters_quantiles_and_tenants() {
         assert_eq!(test_tenant.get("admitted").and_then(Value::as_u64), Some(1));
         assert_eq!(test_tenant.get("denied").and_then(Value::as_u64), Some(0));
 
-        // The registry mirror agrees with the atomics: the JSONL dump
-        // and the stats command tell the same story as terminal_total().
-        let metrics = stats.get("metrics").expect("metrics object");
+        // The reply's counters are the atomics themselves; the registry
+        // holds solver metrics only, no second copy of the responses.
         assert_eq!(
-            metrics.get("server.responses").and_then(Value::as_u64),
+            responses.get("total").and_then(Value::as_u64),
             Some(server.stats().terminal_total())
         );
-        assert_eq!(
-            metrics
-                .get("server.responses.solved")
-                .and_then(Value::as_u64),
-            Some(2)
-        );
-        assert_eq!(
-            metrics.get("server.cache_hits").and_then(Value::as_u64),
-            Some(1)
-        );
-        assert_eq!(
-            metrics.get("server.solve_calls").and_then(Value::as_u64),
-            Some(1)
+        let metrics = stats.get("metrics").expect("metrics object");
+        let series = metrics.as_object().expect("metrics is an object");
+        assert!(
+            series
+                .iter()
+                .all(|(name, _)| !name.starts_with("server.responses")),
+            "no server.responses* series in the registry"
         );
         // Histogram series carry quantiles (ladder stage steps exist
         // after one real solve).
@@ -482,6 +511,12 @@ fn stats_command_works_without_a_tracer() {
                 .and_then(Value::as_bool),
             Some(false)
         );
+        // Server counts do not need the registry: the third command's
+        // reply counts all three introspections.
+        let snapshot = client.stats().unwrap();
+        let stats = snapshot.get("stats").expect("stats body");
+        assert_eq!(stats.get("introspections").and_then(Value::as_u64), Some(3));
+        assert_eq!(stats.get("accept_errors").and_then(Value::as_u64), Some(0));
     });
 }
 

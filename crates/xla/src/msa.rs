@@ -2,7 +2,7 @@
 //! (paper §2.3, §5.6, §7.4).
 
 use tela_model::{Budget, Problem, Size};
-use telamalloc::TelaConfig;
+use telamalloc::{EscalationLadder, LadderConfig, TelaConfig};
 
 use crate::workloads::XlaProgram;
 
@@ -48,14 +48,18 @@ impl Packer {
     fn pack(&self, problem: &Problem, steps: u64) -> bool {
         match self {
             Packer::BestFit => tela_heuristics::bfc::solve(problem).solution.is_some(),
-            // Greedy first, the search only when greedy fails (§5.6);
-            // no spilling — "does not pack" is the answer the loop needs.
-            Packer::TelaMalloc => {
-                tela_heuristics::greedy::solve(problem).solution.is_some()
-                    || telamalloc::solve(problem, &Budget::steps(steps), &TelaConfig::default())
-                        .outcome
-                        .is_solved()
-            }
+            // The escalation ladder: greedy first, the search only when
+            // greedy fails (§5.6); no spilling — "does not pack" is the
+            // answer the loop needs.
+            Packer::TelaMalloc => EscalationLadder::new(TelaConfig {
+                ladder: LadderConfig {
+                    max_spill_rounds: 0,
+                },
+                ..TelaConfig::default()
+            })
+            .solve(problem, &Budget::steps(steps))
+            .outcome
+            .is_solved(),
         }
     }
 }
