@@ -14,7 +14,7 @@
 
 use tela_model::Budget;
 use tela_workloads::sweep::{certified_configs, giant_config, sweep_configs, SweepConfig};
-use telamalloc::{solve, solve_portfolio, AdaptiveConfig, TelaConfig};
+use telamalloc::{solve, solve_portfolio, TelaConfig};
 
 const STEP_CAP: u64 = 200_000;
 
@@ -28,17 +28,6 @@ fn suite() -> Vec<SweepConfig> {
 fn race_config(threads: usize) -> TelaConfig {
     TelaConfig {
         threads,
-        ..TelaConfig::default()
-    }
-}
-
-fn adaptive_config(threads: usize) -> TelaConfig {
-    TelaConfig {
-        threads,
-        adaptive: AdaptiveConfig {
-            ranker: Some(tela_learned::PortfolioRanker::embedded().into_shared()),
-            ..AdaptiveConfig::default()
-        },
         ..TelaConfig::default()
     }
 }
@@ -74,18 +63,6 @@ fn default_variant_solo_solves_26_of_36() {
 #[ignore = "release-only"]
 fn blind_portfolio_at_4_threads_solves_34_of_36() {
     assert_eq!(portfolio_solved(&race_config(4)), 34);
-}
-
-#[test]
-#[ignore = "release-only"]
-fn ranked_adaptive_race_at_2_threads_solves_35_of_36() {
-    assert_eq!(portfolio_solved(&adaptive_config(2)), 35);
-}
-
-#[test]
-#[ignore = "release-only"]
-fn ranked_adaptive_race_at_4_threads_solves_35_of_36() {
-    assert_eq!(portfolio_solved(&adaptive_config(4)), 35);
 }
 
 #[test]

@@ -23,7 +23,7 @@
 
 use std::cmp::Reverse;
 
-use tela_heuristics::{perturb, SelectionStrategy};
+use tela_heuristics::SelectionStrategy;
 use tela_model::{BufferId, PhasePartition, Problem};
 
 /// Incrementally maintained unplaced-buffer index (see the module docs).
@@ -61,14 +61,11 @@ struct Layout {
 
 impl CandidateIndex {
     /// Builds the index with every buffer unplaced. `selection` is the
-    /// configured strategy list (its first entry is the primary order);
-    /// `seed` is the perturbation seed of
-    /// [`tela_heuristics::perturb`].
+    /// configured strategy list (its first entry is the primary order).
     pub(crate) fn new(
         problem: &Problem,
         phases: Option<&PhasePartition>,
         selection: &[SelectionStrategy],
-        seed: u64,
     ) -> Self {
         let n = problem.len();
         let phase_of: Option<Vec<u32>> = phases.map(|p| {
@@ -114,7 +111,7 @@ impl CandidateIndex {
                     index.layouts.len() - 1
                 })
             } else {
-                let order = rank_order(problem, strategy, seed);
+                let order = rank_order(problem, strategy);
                 if index.layout_of.is_empty() && index.phase_of.is_some() {
                     // The inverse permutation of the rank order: O(n),
                     // no second sort.
@@ -264,30 +261,15 @@ impl CandidateIndex {
     }
 }
 
-/// Buffer ids in a strategy's rank order: key descending, then (under a
-/// perturbed restart) the seeded tiebreak, then id. Each key is
-/// computed once; the trailing id makes every tuple unique, so the
-/// unstable sort yields the one total order.
-fn rank_order(problem: &Problem, strategy: SelectionStrategy, seed: u64) -> Vec<u32> {
-    let mut keyed: Vec<(Reverse<u128>, u64, u32)> = (0..problem.len() as u32)
-        .map(|i| {
-            let key = strategy.key(problem, BufferId::new(i as usize));
-            if seed == 0 {
-                (Reverse(key), 0, i)
-            } else {
-                // Perturbed restart: jitter each key by a hash of
-                // `(seed, id)` and break remaining ties by a seeded
-                // token, so the ordering genuinely differs per seed.
-                (
-                    Reverse(perturb::jitter_key(key, u64::from(i), seed)),
-                    perturb::tiebreak(u64::from(i), seed),
-                    i,
-                )
-            }
-        })
+/// Buffer ids in a strategy's rank order: key descending, then id.
+/// Each key is computed once; the trailing id makes every tuple unique,
+/// so the unstable sort yields the one total order.
+fn rank_order(problem: &Problem, strategy: SelectionStrategy) -> Vec<u32> {
+    let mut keyed: Vec<(Reverse<u128>, u32)> = (0..problem.len() as u32)
+        .map(|i| (Reverse(strategy.key(problem, BufferId::new(i as usize))), i))
         .collect();
     keyed.sort_unstable();
-    keyed.into_iter().map(|(_, _, i)| i).collect()
+    keyed.into_iter().map(|(_, i)| i).collect()
 }
 
 /// The set bits of a bitset within `lo..hi`, ascending.
@@ -398,7 +380,6 @@ mod tests {
                 SelectionStrategy::MaxLifetime,
                 SelectionStrategy::LowestPosition,
             ],
-            0,
         );
         let ids = |it: LiveIds<'_>| it.map(BufferId::index).collect::<Vec<_>>();
         assert_eq!(ids(index.live_for(0, 0)), vec![0, 1]);
@@ -413,7 +394,7 @@ mod tests {
     fn removal_and_insertion_track_phases() {
         let p = problem();
         let phases = PhasePartition::compute(&p);
-        let mut index = CandidateIndex::new(&p, Some(&phases), &[SelectionStrategy::MaxSize], 0);
+        let mut index = CandidateIndex::new(&p, Some(&phases), &[SelectionStrategy::MaxSize]);
         assert_eq!(index.live_phases().collect::<Vec<_>>(), vec![0, 1, 2]);
         index.remove(BufferId::new(2));
         assert_eq!(index.live_phases().collect::<Vec<_>>(), vec![0, 1]);

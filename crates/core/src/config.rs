@@ -4,7 +4,6 @@ use std::sync::Arc;
 use tela_heuristics::SelectionStrategy;
 use tela_trace::Tracer;
 
-use crate::adaptive::AdaptiveConfig;
 use crate::backtrack::{BacktrackPolicy, ConflictGuidedPolicy, FixedStepPolicy};
 use crate::portfolio::PortfolioVariant;
 use crate::resilience::LadderConfig;
@@ -91,17 +90,6 @@ pub struct TelaConfig {
     /// [`Tracer::logical`]/[`Tracer::wall`] or
     /// [`Tracer::from_env`] (`TELA_TRACE=1`).
     pub tracer: Tracer,
-    /// Seed for block-ordering perturbation
-    /// (`tela_heuristics::perturb`). `0` (the default) means no
-    /// perturbation — selection behaves bit-for-bit like the canonical
-    /// strategies. The adaptive portfolio sets nonzero seeds when
-    /// restarting clearly-losing variants; it is also available directly
-    /// for randomized-restart experiments.
-    pub perturbation_seed: u64,
-    /// Adaptive portfolio scheduling: learned variant ranking plus the
-    /// bandit budget scheduler ([`AdaptiveConfig`]). Inert unless a
-    /// ranker is configured.
-    pub adaptive: AdaptiveConfig,
     /// Deterministic faults to inject into every solve (chaos testing
     /// only; available under the `fault-inject` feature). `None`
     /// injects nothing.
@@ -126,8 +114,6 @@ impl Default for TelaConfig {
             variants: Vec::new(),
             ladder: LadderConfig::default(),
             tracer: Tracer::disabled(),
-            perturbation_seed: 0,
-            adaptive: AdaptiveConfig::default(),
             #[cfg(feature = "fault-inject")]
             fault_plan: None,
         }

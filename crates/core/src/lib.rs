@@ -40,7 +40,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod adaptive;
 mod backtrack;
 mod candidates;
 mod config;
@@ -48,7 +47,6 @@ mod portfolio;
 mod resilience;
 mod search;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveReport, RoundReport, RunReport, VariantRanker};
 pub use backtrack::{
     BacktrackChoice, BacktrackContext, BacktrackPolicy, BacktrackTarget, ConflictGuidedPolicy,
     FixedStepPolicy, PlacedDecision, StepContext, TargetFeatures,

@@ -13,13 +13,13 @@
 //! boundaries, so losers stop within one step.
 //!
 //! Every race is a schedule of *rounds*, and one executor
-//! ([`run_round`]) runs every round: the blind race below is a fixed
-//! schedule, the adaptive scheduler (`crate::adaptive`) picks its rounds
-//! by UCB. The shared-pruning channel is deliberately lock-light: the
-//! only atomics on the hot path are the cancellation flag (read) and the
-//! slot cursor. The `tela-audit` preflight runs once, up front, for the
-//! whole race — a certificate of infeasibility aborts the portfolio
-//! before any worker spawns.
+//! ([`run_round`]) runs every round; the blind race below is a fixed
+//! schedule of a sprint and one full round, and each slot of a round
+//! carries its own step quota. The shared-pruning channel is
+//! deliberately lock-light: the only atomics on the hot path are the
+//! cancellation flag (read) and the slot cursor. The `tela-audit`
+//! preflight runs once, up front, for the whole race — a certificate of
+//! infeasibility aborts the portfolio before any worker spawns.
 
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -30,7 +30,6 @@ use std::time::Instant;
 use tela_heuristics::SelectionStrategy;
 use tela_model::{Budget, BufferId, Problem, RaceWinner, SolveOutcome, SolveStats};
 
-use crate::adaptive::AdaptiveReport;
 use crate::backtrack::PlacedDecision;
 use crate::config::{Backtrack, TelaConfig};
 use crate::search::{settle_by_preflight, solve, TelaResult};
@@ -108,10 +107,6 @@ pub struct PortfolioResult {
     /// Per-variant reports, indexed like the variant list. `None` means
     /// the race was cancelled before that variant started.
     pub reports: Vec<Option<VariantReport>>,
-    /// Round-by-round schedule of the adaptive scheduler, when it ran
-    /// (a [`VariantRanker`](crate::adaptive::VariantRanker) was
-    /// configured and no fault plan was active). `None` for blind races.
-    pub adaptive: Option<AdaptiveReport>,
 }
 
 impl PortfolioResult {
@@ -225,8 +220,8 @@ pub fn default_variants(base: &TelaConfig) -> Vec<PortfolioVariant> {
 /// True when two configurations would run bit-identical searches, i.e.
 /// they agree on every field that steers the search tree. Driver-side
 /// fields (`threads`, `variants`, `preflight_audit`, `tracer`, ladder
-/// and adaptive settings, fault plans) are ignored: the race overrides
-/// them per worker anyway (see [`worker_config`]).
+/// settings, fault plans) are ignored: the race overrides them per
+/// worker anyway (see [`worker_config`]).
 fn same_search_behavior(a: &TelaConfig, b: &TelaConfig) -> bool {
     a.selection == b.selection
         && a.solver_guided_placement == b.solver_guided_placement
@@ -237,21 +232,16 @@ fn same_search_behavior(a: &TelaConfig, b: &TelaConfig) -> bool {
         && a.stuck_subtree_limit == b.stuck_subtree_limit
         && a.split_independent == b.split_independent
         && a.minimize_conflicts == b.minimize_conflicts
-        && a.perturbation_seed == b.perturbation_seed
 }
 
 /// Worker-side view of a variant's configuration: the driver already
-/// preflighted, races never nest, and a nonzero `perturbation` seeds a
-/// jittered block ordering (`tela_heuristics::perturb`). This is the
-/// one copy of the variant's configuration a run makes.
-fn worker_config(variant: &PortfolioVariant, perturbation: u64) -> TelaConfig {
+/// preflighted, and races never nest. This is the one copy of the
+/// variant's configuration a run makes.
+fn worker_config(variant: &PortfolioVariant) -> TelaConfig {
     let mut config = variant.config.clone();
     config.preflight_audit = false;
     config.threads = 1;
     config.variants = Vec::new();
-    if perturbation != 0 {
-        config.perturbation_seed = perturbation;
-    }
     config
 }
 
@@ -274,28 +264,26 @@ fn variant_budget(budget: &Budget, _config: &TelaConfig, _index: usize) -> Budge
 /// A decisive outcome ends the race: a solution, or a proof that no
 /// solution exists. `GaveUp` and `BudgetExceeded` are not proofs — some
 /// other variant may still succeed.
-pub(crate) fn is_decisive(outcome: &SolveOutcome) -> bool {
+fn is_decisive(outcome: &SolveOutcome) -> bool {
     matches!(outcome, SolveOutcome::Solved(_) | SolveOutcome::Infeasible)
 }
 
 /// One slot of a race round: which variant runs, under which step
-/// quota, with which block ordering.
+/// quota.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Slot {
+struct Slot {
     /// Index into the race's variant list.
-    pub(crate) variant: usize,
+    variant: usize,
     /// Step cap of this run; `None` runs under the race budget as is.
-    pub(crate) quota: Option<u64>,
-    /// Perturbation seed; `0` keeps the variant's canonical ordering.
-    pub(crate) perturbation: u64,
+    quota: Option<u64>,
 }
 
 /// What one slot produced: the variant's result or its captured panic
 /// message, and the worker-thread ordinal that ran it.
-pub(crate) struct SlotRun {
-    pub(crate) slot: Slot,
-    pub(crate) outcome: Result<TelaResult, String>,
-    pub(crate) thread: u32,
+struct SlotRun {
+    slot: Slot,
+    outcome: Result<TelaResult, String>,
+    thread: u32,
 }
 
 impl SlotRun {
@@ -322,13 +310,7 @@ fn run_slot(
         worker_budget = worker_budget.with_max_steps(quota);
     }
     let span = begin_variant(buf, slot.variant, variant);
-    let outcome = catch_panics(|| {
-        solve(
-            problem,
-            &worker_budget,
-            &worker_config(variant, slot.perturbation),
-        )
-    });
+    let outcome = catch_panics(|| solve(problem, &worker_budget, &worker_config(variant)));
     end_variant(buf, span, slot.variant, variant, outcome.as_ref(), config);
     SlotRun {
         slot,
@@ -337,8 +319,8 @@ fn run_slot(
     }
 }
 
-/// Runs one race round; the blind and adaptive schedules both run
-/// every variant through here.
+/// Runs one race round: the blind race runs its sprint and its full
+/// round through here.
 ///
 /// With one worker (or one slot) the slots run in order and the first
 /// decisive finish ends the round: later slots never start, so the
@@ -349,7 +331,7 @@ fn run_slot(
 /// other runs stop within one step and report with `stats.cancelled`
 /// set. Runs come back in slot order; slots that never started are
 /// absent.
-pub(crate) fn run_round(
+fn run_round(
     problem: &Problem,
     budget: &Budget,
     variants: &[PortfolioVariant],
@@ -413,17 +395,16 @@ fn lock_resilient<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Race bookkeeping shared by the blind and adaptive schedules: the
-/// latest report per variant, the winner, and the longest committed
-/// prefix any loser reached.
-pub(crate) struct Race {
+/// Race bookkeeping: the latest report per variant, the winner, and the
+/// longest committed prefix any loser reached.
+struct Race {
     reports: Vec<Option<VariantReport>>,
     winner: Option<(usize, u32, TelaResult)>,
     best_partial: Option<(Vec<PlacedDecision>, Vec<BufferId>)>,
 }
 
 impl Race {
-    pub(crate) fn new(variants: usize) -> Self {
+    fn new(variants: usize) -> Self {
         Race {
             reports: vec![None; variants],
             winner: None,
@@ -431,15 +412,10 @@ impl Race {
         }
     }
 
-    /// True once some run was decisive.
-    pub(crate) fn decided(&self) -> bool {
-        self.winner.is_some()
-    }
-
     /// Files one run: its report replaces the variant's previous one,
     /// an indecisive result competes for the best-effort prefix, and the
     /// first decisive run recorded wins the race.
-    pub(crate) fn record(&mut self, run: SlotRun, variants: &[PortfolioVariant]) {
+    fn record(&mut self, run: SlotRun, variants: &[PortfolioVariant]) {
         let index = run.slot.variant;
         let name = variants[index].name.clone();
         let result = match run.outcome {
@@ -477,11 +453,7 @@ impl Race {
     /// variant that ran when nobody was decisive. The aggregate carries
     /// the longest committed prefix any variant reached, so the
     /// resilience ladder can degrade to a best-effort answer.
-    pub(crate) fn finish(
-        self,
-        variants: &[PortfolioVariant],
-        tracer: &tela_trace::Tracer,
-    ) -> PortfolioResult {
+    fn finish(self, variants: &[PortfolioVariant], tracer: &tela_trace::Tracer) -> PortfolioResult {
         let Race {
             reports,
             winner,
@@ -506,7 +478,6 @@ impl Race {
                 result,
                 winner: Some(index),
                 reports,
-                adaptive: None,
             };
         }
         let mut stats = SolveStats::default();
@@ -538,7 +509,6 @@ impl Race {
             },
             winner: None,
             reports,
-            adaptive: None,
         }
     }
 }
@@ -636,7 +606,6 @@ fn run_portfolio(
                 result,
                 winner: None,
                 reports: Vec::new(),
-                adaptive: None,
             };
         }
     }
@@ -646,31 +615,7 @@ fn run_portfolio(
         config.variants.clone()
     };
     let threads = config.threads.max(1).min(variants.len());
-    // The adaptive scheduler only engages when a ranker is configured
-    // and no fault plan is active: under fault injection the portfolio
-    // must degrade to the blind race bit-for-bit so the chaos and
-    // trace-determinism suites exercise unchanged behavior.
-    match adaptive_ranker(config) {
-        Some(ranker) => crate::adaptive::race_adaptive(
-            problem,
-            budget,
-            &variants,
-            threads,
-            config,
-            ranker.as_ref(),
-        ),
-        None => race_blind(problem, budget, &variants, threads, config),
-    }
-}
-
-/// The configured ranker, unless a fault plan forces the deterministic
-/// blind-race fallback.
-fn adaptive_ranker(config: &TelaConfig) -> Option<&Arc<dyn crate::adaptive::VariantRanker>> {
-    #[cfg(feature = "fault-inject")]
-    if config.fault_plan.is_some() {
-        return None;
-    }
-    config.adaptive.ranker.as_ref()
+    race_blind(problem, budget, &variants, threads, config)
 }
 
 /// Step cap for the sprint that precedes a multi-threaded blind race.
@@ -707,7 +652,6 @@ fn race_blind(
         let sprint = Slot {
             variant: 0,
             quota: Some(quota),
-            perturbation: 0,
         };
         let runs = run_round(problem, budget, variants, config, &[sprint], 1);
         let decisive = runs.iter().any(SlotRun::is_decisive);
@@ -730,7 +674,6 @@ fn race_blind(
         .map(|variant| Slot {
             variant,
             quota: None,
-            perturbation: 0,
         })
         .collect();
     for run in run_round(problem, budget, variants, config, &slots, threads) {

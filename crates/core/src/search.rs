@@ -406,12 +406,7 @@ impl<'a> Engine<'a> {
             .iter()
             .map(|b| contention.max_over(b.start(), b.end()))
             .collect();
-        let index = CandidateIndex::new(
-            problem,
-            phases.as_ref(),
-            &config.selection,
-            config.perturbation_seed,
-        );
+        let index = CandidateIndex::new(problem, phases.as_ref(), &config.selection);
         Some(Engine {
             problem,
             config,
@@ -713,26 +708,11 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// The lowest-position order: domain lower bound, then the
-    /// [`position_tiebreak`](Engine::position_tiebreak). The tiebreak is
-    /// a bijection of the id, so the key is unique per buffer.
+    /// The lowest-position order: domain lower bound, then id. The id
+    /// makes the key unique per buffer.
     // tela-lint: hot-path
-    fn position_key(&self, id: BufferId) -> (Address, u64) {
-        (self.solver.domain(id).lo(), self.position_tiebreak(id))
-    }
-
-    /// Tiebreak among equal lowest positions: plain id order normally, a
-    /// seeded hash under a perturbed restart (lowest-position has no
-    /// static key to jitter, so the tiebreak is where its perturbation
-    /// lives).
-    // tela-lint: hot-path
-    fn position_tiebreak(&self, id: BufferId) -> u64 {
-        let seed = self.config.perturbation_seed;
-        if seed == 0 {
-            id.index() as u64
-        } else {
-            tela_heuristics::perturb::tiebreak(id.index() as u64, seed)
-        }
+    fn position_key(&self, id: BufferId) -> (Address, BufferId) {
+        (self.solver.domain(id).lo(), id)
     }
 
     fn major_backtrack(&mut self, policy: &mut dyn BacktrackPolicy) {

@@ -57,7 +57,6 @@ impl Oracle {
         let phases = config
             .contention_grouping
             .then(|| PhasePartition::compute(problem));
-        let seed = config.perturbation_seed;
         let selection_ranks: Vec<Option<Vec<u32>>> = config
             .selection
             .iter()
@@ -67,21 +66,7 @@ impl Oracle {
                 }
                 let mut ids: Vec<u32> = (0..problem.len() as u32).collect();
                 let key = |i: u32| strategy.key(problem, BufferId::new(i as usize));
-                if seed == 0 {
-                    ids.sort_unstable_by_key(|&i| (std::cmp::Reverse(key(i)), i));
-                } else {
-                    ids.sort_unstable_by_key(|&i| {
-                        (
-                            std::cmp::Reverse(tela_heuristics::perturb::jitter_key(
-                                key(i),
-                                u64::from(i),
-                                seed,
-                            )),
-                            tela_heuristics::perturb::tiebreak(u64::from(i), seed),
-                            i,
-                        )
-                    });
-                }
+                ids.sort_unstable_by_key(|&i| (std::cmp::Reverse(key(i)), i));
                 let mut rank = vec![0u32; problem.len()];
                 for (pos, &i) in ids.iter().enumerate() {
                     rank[i as usize] = pos as u32;
@@ -213,7 +198,7 @@ impl Oracle {
         assert_eq!(strategy, SelectionStrategy::LowestPosition);
         pool.iter()
             .copied()
-            .min_by_key(|&id| (e.solver.domain(id).lo(), e.position_tiebreak(id)))
+            .min_by_key(|&id| (e.solver.domain(id).lo(), id))
     }
 
     fn order_pool(&self, e: &Engine<'_>, pool: &mut [BufferId]) {
@@ -222,7 +207,7 @@ impl Oracle {
         }
         match e.config.selection.first() {
             Some(SelectionStrategy::LowestPosition) => {
-                pool.sort_unstable_by_key(|&id| (e.solver.domain(id).lo(), e.position_tiebreak(id)))
+                pool.sort_unstable_by_key(|&id| (e.solver.domain(id).lo(), id))
             }
             Some(_) => unreachable!("a static primary strategy has a precomputed order"),
             None => pool.sort_unstable(),
@@ -285,7 +270,6 @@ struct Setup {
     primary: SelectionStrategy,
     secondary: SelectionStrategy,
     grouping: bool,
-    seed: u64,
     cap: usize,
     mixed_policy: bool,
 }
@@ -295,7 +279,6 @@ impl Setup {
         TelaConfig {
             selection: vec![self.primary, self.secondary],
             contention_grouping: self.grouping,
-            perturbation_seed: self.seed,
             max_candidates_per_level: self.cap,
             split_independent: false,
             preflight_audit: false,
@@ -326,20 +309,16 @@ fn setup() -> impl Strategy<Value = Setup> {
         strategy(),
         strategy(),
         flag(),
-        prop_oneof![Just(0u64), 1u64..u64::MAX],
         prop_oneof![Just(1usize), Just(16)],
         flag(),
     )
-        .prop_map(
-            |(primary, secondary, grouping, seed, cap, mixed_policy)| Setup {
-                primary,
-                secondary,
-                grouping,
-                seed,
-                cap,
-                mixed_policy,
-            },
-        )
+        .prop_map(|(primary, secondary, grouping, cap, mixed_policy)| Setup {
+            primary,
+            secondary,
+            grouping,
+            cap,
+            mixed_policy,
+        })
 }
 
 fn random_problem() -> impl Strategy<Value = Problem> {
@@ -391,9 +370,8 @@ proptest! {
     }
 }
 
-/// Every combination of primary and secondary strategy, grouping,
-/// perturbation seed, cap and policy, on one instance that needs
-/// backtracking.
+/// Every combination of primary and secondary strategy, grouping, cap
+/// and policy, on one instance that needs backtracking.
 #[test]
 fn index_queues_match_the_full_scan_in_every_configuration() {
     let problem =
@@ -402,23 +380,20 @@ fn index_queues_match_the_full_scan_in_every_configuration() {
     for primary in SelectionStrategy::ALL {
         for secondary in SelectionStrategy::ALL {
             for grouping in [false, true] {
-                for seed in [0, 0x5EED] {
-                    for cap in [1, 16] {
-                        for mixed_policy in [false, true] {
-                            let setup = Setup {
-                                primary,
-                                secondary,
-                                grouping,
-                                seed,
-                                cap,
-                                mixed_policy,
-                            };
-                            checks += setup.run(&problem, 300).1;
-                        }
+                for cap in [1, 16] {
+                    for mixed_policy in [false, true] {
+                        let setup = Setup {
+                            primary,
+                            secondary,
+                            grouping,
+                            cap,
+                            mixed_policy,
+                        };
+                        checks += setup.run(&problem, 300).1;
                     }
                 }
             }
         }
     }
-    assert!(checks >= 128 * 100, "only {checks} queues compared");
+    assert!(checks >= 64 * 100, "only {checks} queues compared");
 }

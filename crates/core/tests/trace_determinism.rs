@@ -12,14 +12,9 @@
 //! [`tela_trace::ClockMode::Logical`]; if one ever leaks into a logical
 //! trace these tests catch it as flaky metric lines.
 
-use std::sync::Arc;
-
 use tela_model::{examples, Budget, Buffer, Problem};
 use tela_trace::{write_jsonl, Tracer};
-use telamalloc::{
-    solve_portfolio, AdaptiveConfig, EscalationLadder, PortfolioVariant, SpillHook, TelaConfig,
-    VariantRanker,
-};
+use telamalloc::{solve_portfolio, EscalationLadder, SpillHook, TelaConfig};
 
 /// Runs `f` against a fresh logical-clock tracer and returns the JSONL
 /// body (everything after the wall-clock header line).
@@ -91,78 +86,6 @@ fn identical_ladder_solves_trace_identically() {
     assert!(first.contains("certificate"));
 }
 
-/// Prefers variants in list order; with a fixed logical clock the whole
-/// adaptive schedule is a pure function of the config.
-#[derive(Debug)]
-struct FavorBase;
-
-impl VariantRanker for FavorBase {
-    fn scores(&self, _features: &[f64], variants: &[PortfolioVariant]) -> Vec<f64> {
-        (0..variants.len()).map(|i| -(i as f64)).collect()
-    }
-}
-
-/// Bandit determinism: fixed seed + logical clock ⇒ the round-by-round
-/// quota schedule, restarts, and final winner replay byte-for-byte in
-/// the trace stream.
-#[test]
-fn identical_adaptive_solves_trace_identically() {
-    let run = || {
-        traced_body(|config| {
-            let config = TelaConfig {
-                adaptive: AdaptiveConfig {
-                    ranker: Some(Arc::new(FavorBase)),
-                    // Tiny quotas force several bandit rounds so the
-                    // comparison covers re-selection and restarts, not
-                    // just a round-0 win.
-                    initial_quota: 8,
-                    quota_growth: 4,
-                    max_rounds: 16,
-                    ..AdaptiveConfig::default()
-                },
-                ..config.clone()
-            };
-            let p = examples::figure1();
-            let race = solve_portfolio(&p, &Budget::steps(200_000), &config);
-            assert!(race.result.outcome.is_solved());
-            assert!(race.adaptive.expect("adaptive race reports").rounds.len() > 1);
-        })
-    };
-    let first = run();
-    assert_eq!(first, run(), "adaptive traces must be byte-identical");
-    assert!(first.contains("adaptive_seed"), "seeding event emitted");
-    assert!(first.contains("adaptive_round"), "round events emitted");
-    assert!(
-        first.contains("\"name\":\"winner\""),
-        "winner identity lands in the trace stream"
-    );
-}
-
-/// Fallback semantics: adaptive knobs without a ranker must leave the
-/// blind race's trace untouched — only a configured model activates the
-/// scheduler.
-#[test]
-fn unranked_adaptive_config_traces_like_the_blind_race() {
-    let blind = traced_body(|config| {
-        let p = examples::figure1();
-        solve_portfolio(&p, &Budget::steps(200_000), config);
-    });
-    let tuned = traced_body(|config| {
-        let config = TelaConfig {
-            adaptive: AdaptiveConfig {
-                top_k: 3,
-                initial_quota: 16,
-                quota_growth: 2,
-                ..AdaptiveConfig::default()
-            },
-            ..config.clone()
-        };
-        let p = examples::figure1();
-        solve_portfolio(&p, &Budget::steps(200_000), &config);
-    });
-    assert_eq!(blind, tuned, "no ranker ⇒ bit-for-bit the blind race");
-}
-
 /// Chaos determinism: even with an injected variant panic the trace —
 /// including the captured panic payload event — is reproducible.
 #[cfg(feature = "fault-inject")]
@@ -192,48 +115,4 @@ fn chaos_run_with_injected_panic_traces_identically() {
         "the panic payload lands in the trace stream"
     );
     assert!(first.contains("injected panic at step"));
-}
-
-/// Chaos fallback: an active fault plan disables the adaptive scheduler
-/// entirely, so a configured ranker changes *nothing* about a chaos
-/// run's trace — it is byte-identical to the blind chaos race.
-#[cfg(feature = "fault-inject")]
-#[test]
-fn fault_plans_silence_the_adaptive_scheduler_in_traces() {
-    use tela_model::fault::FaultPlan;
-
-    let plan = || FaultPlan {
-        panic_at_step: Some(5),
-        victim_variant: Some(0),
-        ..FaultPlan::default()
-    };
-    let blind = traced_body(|config| {
-        let config = TelaConfig {
-            fault_plan: Some(plan()),
-            ..config.clone()
-        };
-        let p = examples::figure1();
-        solve_portfolio(&p, &Budget::steps(200_000), &config);
-    });
-    let adaptive = traced_body(|config| {
-        let config = TelaConfig {
-            adaptive: AdaptiveConfig {
-                ranker: Some(Arc::new(FavorBase)),
-                ..AdaptiveConfig::default()
-            },
-            fault_plan: Some(plan()),
-            ..config.clone()
-        };
-        let p = examples::figure1();
-        let race = solve_portfolio(&p, &Budget::steps(200_000), &config);
-        assert!(race.adaptive.is_none(), "chaos must force the blind race");
-    });
-    assert_eq!(
-        blind, adaptive,
-        "under chaos the ranker must be bit-for-bit inert"
-    );
-    assert!(
-        !blind.contains("adaptive"),
-        "no adaptive events under chaos"
-    );
 }

@@ -534,9 +534,10 @@ impl CpSolver {
     /// tracer still see the full conflict).
     ///
     /// Pass the seed to [`explain`](CpSolver::explain) to obtain the
-    /// [`Conflict`]; the result is identical to what [`assign`] would
-    /// have returned as long as no later assignment succeeds and no
-    /// backtrack below the failure level happens in between.
+    /// [`Conflict`]; the result is identical to what
+    /// [`assign`](CpSolver::assign) would have returned as long as no
+    /// later assignment succeeds and no backtrack below the failure
+    /// level happens in between.
     ///
     /// # Errors
     ///

@@ -33,7 +33,6 @@
 pub mod bfc;
 pub mod greedy;
 pub mod ordered;
-pub mod perturb;
 mod placer;
 mod skyline;
 mod strategy;

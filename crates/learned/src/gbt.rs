@@ -54,7 +54,9 @@ impl RegressionTree {
         tree
     }
 
-    /// Predicts the target for one feature vector.
+    /// Predicts the target for one feature vector. A split on a feature
+    /// past the end of `x` (a model loaded for wider rows) takes the
+    /// right branch, so prediction never panics.
     pub fn predict(&self, x: &[f64]) -> f64 {
         let mut node = 0usize;
         loop {
@@ -66,7 +68,7 @@ impl RegressionTree {
                     left,
                     right,
                 } => {
-                    node = if x[*feature] <= *threshold {
+                    node = if x.get(*feature).is_some_and(|v| v <= threshold) {
                         *left
                     } else {
                         *right
@@ -303,6 +305,11 @@ impl Gbt {
 
     /// Parses the text format produced by [`Gbt::to_text`].
     ///
+    /// Every accepted model predicts in bounded time: a tree has at
+    /// least one node, and a split's children come after it (the
+    /// pre-order that [`Gbt::fit`] writes), so each walk ends at a leaf.
+    /// Header counts are not trusted for allocation.
+    ///
     /// # Errors
     ///
     /// Returns [`crate::persist::ModelParseError`] on malformed input.
@@ -330,7 +337,7 @@ impl Gbt {
             .next()
             .and_then(|t| t.parse().ok())
             .ok_or_else(|| err(lno + 1, "bad tree count"))?;
-        let mut trees = Vec::with_capacity(n_trees);
+        let mut trees = Vec::new();
         for _ in 0..n_trees {
             let (lno, tline) = lines.next().ok_or_else(|| err(0, "missing tree header"))?;
             let mut t = tline.split_whitespace();
@@ -341,8 +348,11 @@ impl Gbt {
                 .next()
                 .and_then(|x| x.parse().ok())
                 .ok_or_else(|| err(lno + 1, "bad node count"))?;
-            let mut nodes = Vec::with_capacity(n_nodes);
-            for _ in 0..n_nodes {
+            if n_nodes == 0 {
+                return Err(err(lno + 1, "empty tree"));
+            }
+            let mut nodes = Vec::new();
+            for index in 0..n_nodes {
                 let (lno, nline) = lines.next().ok_or_else(|| err(0, "truncated tree"))?;
                 let mut parts = nline.split_whitespace();
                 match parts.next() {
@@ -372,6 +382,9 @@ impl Gbt {
                             .ok_or_else(|| err(lno + 1, "bad right index"))?;
                         if left >= n_nodes || right >= n_nodes {
                             return Err(err(lno + 1, "child index out of range"));
+                        }
+                        if left <= index || right <= index {
+                            return Err(err(lno + 1, "child index not after its split"));
                         }
                         nodes.push(Node::Split {
                             feature,
@@ -496,6 +509,39 @@ mod tests {
         for (row, b) in rows.iter().zip(&batch) {
             assert_eq!(model.predict(row), *b);
         }
+    }
+
+    #[test]
+    fn split_pointing_at_itself_is_rejected() {
+        // Without the check `predict` would loop on node 0 forever.
+        let text = "gbt v1 0 1 1\ntree 2\nsplit 0 0.5 0 1\nleaf 1\n";
+        let e = Gbt::from_text(text).unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.reason.contains("not after its split"), "{e}");
+        let backwards = "gbt v1 0 1 1\ntree 3\nleaf 1\nsplit 0 0.5 2 0\nleaf 2\n";
+        assert!(Gbt::from_text(backwards).is_err());
+    }
+
+    #[test]
+    fn empty_tree_is_rejected() {
+        let e = Gbt::from_text("gbt v1 0 1 1\ntree 0\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.reason.contains("empty tree"), "{e}");
+    }
+
+    #[test]
+    fn huge_header_counts_do_not_preallocate() {
+        let trees = format!("gbt v1 0 1 {}\n", u64::MAX);
+        assert!(Gbt::from_text(&trees).is_err());
+        let nodes = format!("gbt v1 0 1 1\ntree {}\nleaf 1\n", u64::MAX);
+        assert!(Gbt::from_text(&nodes).is_err());
+    }
+
+    #[test]
+    fn a_feature_past_the_row_takes_the_right_branch() {
+        let model = Gbt::from_text("gbt v1 0 1 1\ntree 3\nsplit 9 0.5 1 2\nleaf 1\nleaf 2\n")
+            .expect("well-formed model");
+        assert_eq!(model.predict(&[0.0]), 2.0);
     }
 
     #[test]

@@ -44,16 +44,12 @@ pub mod importance;
 pub mod oracle;
 pub mod persist;
 pub mod policy;
-pub mod ranker;
-pub mod selfplay;
 
 pub use collect::{collect_dataset, collect_samples, CollectConfig, Sample};
 pub use gate::GatedPolicy;
 pub use gbt::{Gbt, GbtParams};
 pub use importance::permutation_importance;
 pub use policy::LearnedPolicy;
-pub use ranker::PortfolioRanker;
-pub use selfplay::{self_play, train_ranker, VariantSample};
 
 use tela_model::{Budget, Problem};
 use telamalloc::TelaConfig;

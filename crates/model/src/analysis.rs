@@ -40,44 +40,6 @@ pub struct InstanceStats {
 }
 
 impl InstanceStats {
-    /// Number of entries in [`InstanceStats::feature_vector`].
-    pub const FEATURE_COUNT: usize = 10;
-
-    /// Names of the feature-vector entries, index-aligned with
-    /// [`InstanceStats::feature_vector`]. Model tooling (the portfolio
-    /// ranker's training binary, feature-importance reports) uses these
-    /// as the canonical column names.
-    pub const FEATURE_NAMES: [&'static str; Self::FEATURE_COUNT] = [
-        "buffers",
-        "horizon",
-        "overlapping_pairs",
-        "mean_degree",
-        "max_contention",
-        "capacity",
-        "slack_ratio",
-        "contention_flatness",
-        "aligned_fraction",
-        "dominant_buffer_fraction",
-    ];
-
-    /// The summary as a fixed-arity `f64` vector, for learned models
-    /// that rank instances (the adaptive portfolio's variant ranker).
-    /// Deterministic: every entry is a pure function of the problem.
-    pub fn feature_vector(&self) -> [f64; Self::FEATURE_COUNT] {
-        [
-            self.buffers as f64,
-            f64::from(self.horizon),
-            self.overlapping_pairs as f64,
-            self.mean_degree,
-            self.max_contention as f64,
-            self.capacity as f64,
-            self.slack_ratio,
-            self.contention_flatness,
-            self.aligned_fraction,
-            self.dominant_buffer_fraction,
-        ]
-    }
-
     /// Computes the summary for `problem`.
     pub fn of(problem: &Problem) -> Self {
         let pairs = problem.overlapping_pairs().count();
@@ -271,21 +233,6 @@ mod tests {
         assert_eq!(s.buffers, 0);
         assert_eq!(s.mean_degree, 0.0);
         assert_eq!(s.contention_flatness, 0.0);
-    }
-
-    #[test]
-    fn feature_vector_is_name_aligned_and_deterministic() {
-        let p = examples::figure1();
-        let s = InstanceStats::of(&p);
-        let v = s.feature_vector();
-        assert_eq!(v.len(), InstanceStats::FEATURE_COUNT);
-        assert_eq!(InstanceStats::FEATURE_NAMES.len(), v.len());
-        // Index-aligned with the named fields.
-        assert_eq!(v[0], s.buffers as f64);
-        assert_eq!(v[4], s.max_contention as f64);
-        assert_eq!(v[6], s.slack_ratio);
-        // Pure function of the problem: recomputation is bit-identical.
-        assert_eq!(v, InstanceStats::of(&p).feature_vector());
     }
 
     #[test]

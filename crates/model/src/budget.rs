@@ -224,9 +224,8 @@ pub struct SolveStats {
     pub minor_backtracks: u64,
     /// Multi-step, conflict-guided backtracks.
     pub major_backtracks: u64,
-    /// CP-solver propagation count — the adaptive portfolio's progress
-    /// signal alongside depth and backtracks (zero for solvers that do
-    /// not propagate).
+    /// CP-solver propagation count (zero for solvers that do not
+    /// propagate).
     pub propagations: u64,
     /// Wall-clock time spent, if measured.
     pub elapsed: Duration,

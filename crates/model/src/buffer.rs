@@ -52,10 +52,10 @@ impl From<usize> for BufferId {
 /// [`Problem::new`](crate::Problem::new).
 ///
 /// [`Buffer::new`] panics on these conditions; the fallible
-/// constructors return them instead, and [`Problem::new`] re-checks
-/// every buffer so that instances arriving through deserialization (which
-/// bypasses the constructors) are still rejected before any solver sees
-/// them.
+/// constructors return them instead, and
+/// [`Problem::new`](crate::Problem::new) re-checks every buffer so that
+/// instances arriving through deserialization (which bypasses the
+/// constructors) are still rejected before any solver sees them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BufferError {
     /// `end <= start`: the half-open live range `[start, end)` is empty.

@@ -214,19 +214,6 @@ impl MetricsRegistry {
         });
     }
 
-    /// The current value of the counter `name`, if it exists and is a
-    /// counter. A live read for consumers that steer on observed
-    /// progress mid-run (the adaptive portfolio's bandit scheduler reads
-    /// `cp.propagations` between rounds) without the allocation cost of
-    /// a full [`MetricsRegistry::snapshot`].
-    pub fn counter_value(&self, name: &str) -> Option<u64> {
-        let series = self
-            .series
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        series.get(name).and_then(MetricValue::as_counter)
-    }
-
     /// A name-ordered snapshot of every series.
     pub fn snapshot(&self) -> Vec<MetricEntry> {
         let series = self
@@ -285,19 +272,6 @@ mod tests {
         assert_eq!(snap[0].name, "a");
         assert_eq!(snap[0].value.as_counter(), Some(5));
         assert_eq!(snap[1].value.as_counter(), Some(1));
-    }
-
-    #[test]
-    fn counter_value_reads_live() {
-        let m = MetricsRegistry::new();
-        assert_eq!(m.counter_value("a"), None);
-        m.add("a", 2);
-        assert_eq!(m.counter_value("a"), Some(2));
-        m.add("a", 3);
-        assert_eq!(m.counter_value("a"), Some(5));
-        // Non-counter series read as None.
-        m.set_gauge("g", 1);
-        assert_eq!(m.counter_value("g"), None);
     }
 
     #[test]

@@ -303,16 +303,6 @@ impl Tracer {
         }
     }
 
-    /// The current value of the counter `name` (`None` when disabled or
-    /// the series is not a counter). See
-    /// [`MetricsRegistry::counter_value`].
-    #[inline]
-    pub fn counter_value(&self, name: &str) -> Option<u64> {
-        self.inner
-            .as_ref()
-            .and_then(|shared| shared.metrics.counter_value(name))
-    }
-
     /// A per-thread buffer that batches events locally and flushes them
     /// into the shared sink in one lock acquisition. Sequence numbers
     /// are still drawn from the shared counter at record time, so the
